@@ -48,12 +48,9 @@ BlitzCoinUnit::reconfigure(const UnitConfig &cfg)
 {
     cfg_ = cfg;
     timer_ = coin::BackoffTimer(cfg_.backoff);
-    // Rebuild the selector with the same logical neighborhood; copies
-    // are taken first because assignment replaces the source lists.
-    std::vector<noc::NodeId> neighbors = selector_.neighbors();
-    std::vector<noc::NodeId> far = selector_.far();
-    selector_ = coin::PartnerSelector(std::move(neighbors),
-                                      std::move(far), cfg_.pairing,
+    // Rebuild the selector with the same logical neighborhood.
+    selector_ = coin::PartnerSelector(selector_.neighbors(),
+                                      selector_.far(), cfg_.pairing,
                                       rng_);
     if (plane_)
         plane_->writeBackoff(self_, timer_.interval());
@@ -231,17 +228,16 @@ BlitzCoinUnit::shun(noc::NodeId node)
 {
     if (!shunned_.insert(node).second)
         return;
-    auto strip = [node](std::vector<noc::NodeId> v) {
-        v.erase(std::remove(v.begin(), v.end(), node), v.end());
-        return v;
-    };
-    std::vector<noc::NodeId> neighbors = strip(selector_.neighbors());
-    std::vector<noc::NodeId> far = strip(selector_.far());
+    std::vector<noc::NodeId> neighbors = selector_.neighbors();
+    neighbors.erase(std::remove(neighbors.begin(), neighbors.end(), node),
+                    neighbors.end());
+    coin::FarSet far = selector_.far();
+    far.erase(node);
     if (neighbors.empty() && !far.empty()) {
         // The exchange neighborhood re-forms around the hole: far
         // partners are promoted so the tile is never left mute.
-        neighbors = std::move(far);
-        far.clear();
+        neighbors = far.toVector();
+        far = coin::FarSet();
     }
     if (neighbors.empty())
         return; // fully cut off; exchanges will time out and abandon

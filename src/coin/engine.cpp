@@ -22,7 +22,8 @@ exchangeModeName(ExchangeMode m)
 MeshSim::MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
                  std::uint64_t seed)
     : topo_(topo.width(), topo.height(), cfg.wrap), cfg_(cfg), rng_(seed),
-      ledger_(topo_.size()), pending_(topo_.size(), 0)
+      ledger_(topo_.size()), heapPos_(topo_.size()),
+      heap_(std::less<std::uint64_t>{}, TrackTile{heapPos_.data()})
 {
     BLITZ_ASSERT(cfg_.thermalCaps.empty() ||
                  cfg_.thermalCaps.size() == topo_.size(),
@@ -30,12 +31,13 @@ MeshSim::MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
     timers_.reserve(topo_.size());
     selectors_.reserve(topo_.size());
     iso_.resize(topo_.size());
+    heap_.reserve(topo_.size());
     for (noc::NodeId i = 0; i < topo_.size(); ++i) {
         timers_.emplace_back(cfg_.backoff);
         selectors_.emplace_back(topo_, i, cfg_.pairing, rng_);
         // Stagger initial firings across one base interval so the mesh
         // does not act in lockstep.
-        scheduleTile(i, 1 + rng_.below(cfg_.backoff.baseInterval));
+        heap_.push(keyOf(1 + rng_.below(cfg_.backoff.baseInterval), i));
     }
 }
 
@@ -69,7 +71,7 @@ MeshSim::effectiveCap(std::size_t i) const
 }
 
 void
-MeshSim::rebuildError()
+MeshSim::rebuildError() const
 {
     alpha_ = ledger_.alpha();
     errSum_ = 0.0;
@@ -78,11 +80,13 @@ MeshSim::rebuildError()
             static_cast<double>(ledger_.has(i)) -
             alpha_ * static_cast<double>(ledger_.max(i)));
     }
+    errDirty_ = false;
 }
 
 double
 MeshSim::globalError() const
 {
+    refreshError();
     return errSum_ / static_cast<double>(ledger_.size());
 }
 
@@ -90,7 +94,7 @@ void
 MeshSim::setMax(std::size_t i, Coins max)
 {
     ledger_.setMax(i, max);
-    rebuildError(); // alpha changed; all contributions shift
+    errDirty_ = true; // alpha changed; all contributions shift
     timers_[i].resetOnActivity();
     // An activity change triggers an immediate status update from the
     // affected tile (the start/end of execution drives the request or
@@ -102,7 +106,7 @@ void
 MeshSim::setHas(std::size_t i, Coins has)
 {
     ledger_.setHas(i, has);
-    rebuildError();
+    errDirty_ = true;
 }
 
 void
@@ -113,7 +117,7 @@ MeshSim::randomizeHas(Coins pool)
         auto i = static_cast<std::size_t>(rng_.below(ledger_.size()));
         ledger_.setHas(i, ledger_.has(i) + 1);
     }
-    rebuildError();
+    errDirty_ = true;
 }
 
 void
@@ -136,14 +140,13 @@ MeshSim::clusterHas(Coins pool)
         auto i = static_cast<std::size_t>(wrapped.idOf(at));
         ledger_.setHas(i, ledger_.has(i) + 1);
     }
-    rebuildError();
+    errDirty_ = true;
 }
 
 void
 MeshSim::scheduleTile(std::uint32_t tile, sim::Tick when)
 {
-    ++pending_[tile];
-    heap_.push(Firing{when, tile, pending_[tile]});
+    heap_.update(heapPos_[tile], keyOf(when, tile));
 }
 
 void
@@ -328,15 +331,13 @@ MeshSim::runUntilConverged(double errThreshold, sim::Tick maxTime)
         return result;
     }
 
-    while (!heap_.empty() && heap_.top().when <= maxTime) {
-        Firing f = heap_.top();
-        heap_.pop();
-        if (f.stamp != pending_[f.tile])
-            continue; // superseded by an activity-change reschedule
+    // The fired tile stays at the root until fire() re-keys it.
+    while (whenOf(heap_.top()) <= maxTime) {
+        const sim::Tick when = whenOf(heap_.top());
         if (metrics_)
-            drainSamples(f.when);
-        now_ = f.when;
-        sim::Tick completion = fire(f.tile);
+            drainSamples(when);
+        now_ = when;
+        sim::Tick completion = fire(tileOf(heap_.top()));
         if (globalError() < errThreshold) {
             result.converged = true;
             result.time = completion;
@@ -362,15 +363,13 @@ MeshSim::runFor(sim::Tick duration)
     const std::uint64_t exchanges0 = exchanges_;
     const sim::Tick deadline = now_ + duration;
 
-    while (!heap_.empty() && heap_.top().when <= deadline) {
-        Firing f = heap_.top();
-        heap_.pop();
-        if (f.stamp != pending_[f.tile])
-            continue;
+    refreshError();
+    while (whenOf(heap_.top()) <= deadline) {
+        const sim::Tick when = whenOf(heap_.top());
         if (metrics_)
-            drainSamples(f.when);
-        now_ = f.when;
-        fire(f.tile);
+            drainSamples(when);
+        now_ = when;
+        fire(tileOf(heap_.top()));
     }
     now_ = deadline;
     if (metrics_)

@@ -15,7 +15,6 @@
 #define BLITZ_COIN_ENGINE_HPP
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "backoff.hpp"
@@ -23,6 +22,7 @@
 #include "ledger.hpp"
 #include "noc/topology.hpp"
 #include "pairing.hpp"
+#include "sim/quad_heap.hpp"
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
 
@@ -105,6 +105,11 @@ struct RunResult
  *
  * Determinism: all randomness (initial holdings, partner staggering,
  * same-tick ordering) derives from the seed passed at construction.
+ *
+ * Neither copyable nor movable: every partner selector draws from this
+ * object's own RNG through a pointer, and the firing schedule's
+ * position hook points into its own index, so a copy would silently
+ * share the source's streams.
  */
 class MeshSim
 {
@@ -118,14 +123,20 @@ class MeshSim
     MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
             std::uint64_t seed);
 
+    MeshSim(const MeshSim &) = delete;
+    MeshSim &operator=(const MeshSim &) = delete;
+
     const noc::Topology &topology() const { return topo_; }
     const Ledger &ledger() const { return ledger_; }
     sim::Tick now() const { return now_; }
 
-    /** Program a tile's target; resets its refresh timer. */
+    /**
+     * Program a tile's target; resets its refresh timer. O(1): the
+     * error sum is rebuilt once, before the next run or query.
+     */
     void setMax(std::size_t i, Coins max);
 
-    /** Set a tile's holdings (initialization). */
+    /** Set a tile's holdings (initialization; O(1) like setMax). */
     void setHas(std::size_t i, Coins has);
 
     /**
@@ -145,7 +156,7 @@ class MeshSim
      */
     void clusterHas(Coins pool);
 
-    /** Global mean error Err (cached; O(1)). */
+    /** Global mean error Err (cached; O(1) unless targets changed). */
     double globalError() const;
 
     /** Largest per-tile error (Fig. 7 metric; O(N)). */
@@ -202,23 +213,53 @@ class MeshSim
     void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
 
   private:
-    struct Firing
-    {
-        sim::Tick when;
-        std::uint32_t tile;
-        std::uint64_t stamp; ///< matches pending_[tile] or it is stale
+    /**
+     * Firing-schedule key: (when << kTileBits) | tile. One live entry
+     * per tile and a strict total order, so the drain order is the
+     * (when, tile) order with no ties to break.
+     */
+    static constexpr unsigned kTileBits = 20;
+    static constexpr std::uint64_t kTileMask =
+        (std::uint64_t{1} << kTileBits) - 1;
+    static_assert(sim::kMaxMeshNodes <= kTileMask,
+                  "tile ids no longer fit the firing key's tile field");
 
-        bool
-        operator>(const Firing &o) const
+    static std::uint64_t
+    keyOf(sim::Tick when, std::uint32_t tile)
+    {
+        BLITZ_ASSERT(when >> (64 - kTileBits) == 0,
+                     "firing tick overflows the schedule key");
+        return (when << kTileBits) | tile;
+    }
+    static sim::Tick whenOf(std::uint64_t key) { return key >> kTileBits; }
+    static std::uint32_t
+    tileOf(std::uint64_t key)
+    {
+        return static_cast<std::uint32_t>(key & kTileMask);
+    }
+
+    /** Records each tile's heap index as the schedule moves it. */
+    struct TrackTile
+    {
+        std::uint32_t *pos;
+
+        void
+        operator()(std::uint64_t key, std::size_t i) const
         {
-            if (when != o.when)
-                return when > o.when;
-            return tile > o.tile;
+            pos[tileOf(key)] = static_cast<std::uint32_t>(i);
         }
     };
 
     /** Recompute alpha and the cached error sum from scratch. */
-    void rebuildError();
+    void rebuildError() const;
+
+    /** Rebuild the error sum if setMax/setHas invalidated it. */
+    void
+    refreshError() const
+    {
+        if (errDirty_)
+            rebuildError();
+    }
 
     /** Execute one firing; returns the exchange completion tick. */
     sim::Tick fire(std::uint32_t tile);
@@ -273,9 +314,10 @@ class MeshSim
     std::vector<Coins> capsScratch_;
     std::vector<noc::NodeId> survivorScratch_;
     std::vector<IsolationDetector> iso_;
-    std::vector<std::uint64_t> pending_;
-    std::priority_queue<Firing, std::vector<Firing>,
-                        std::greater<Firing>> heap_;
+    std::vector<std::uint32_t> heapPos_; ///< tile -> index in heap_
+    /** Indexed: one entry per tile, re-keyed in place on reschedule. */
+    sim::QuadHeap<std::uint64_t, std::less<std::uint64_t>, TrackTile>
+        heap_;
     sim::Tick now_ = 0;
     trace::Registry *metrics_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
@@ -284,9 +326,11 @@ class MeshSim
     std::uint64_t packets_ = 0;
     std::uint64_t exchanges_ = 0;
     std::uint64_t losses_ = 0;
-    // Cached error state: alpha_ changes only on setMax/setHas.
-    double alpha_ = 0.0;
-    double errSum_ = 0.0;
+    // Cached error state: alpha_ changes only on setMax/setHas, which
+    // just mark it dirty; refreshError() rebuilds it from scratch.
+    mutable double alpha_ = 0.0;
+    mutable double errSum_ = 0.0;
+    mutable bool errDirty_ = false;
 };
 
 } // namespace blitz::coin

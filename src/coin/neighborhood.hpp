@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "noc/topology.hpp"
+#include "pairing.hpp"
 
 namespace blitz::coin {
 
@@ -27,8 +28,11 @@ struct Neighborhood
 {
     /** Logical mesh neighbors (rotation partners). */
     std::vector<noc::NodeId> neighbors;
-    /** Managed non-neighbors (random-pairing partners). */
-    std::vector<noc::NodeId> far;
+    /**
+     * Managed non-neighbors (random-pairing partners): the managed-id
+     * list every tile shares, minus this tile and its neighbors.
+     */
+    FarSet far;
 };
 
 /**

@@ -16,6 +16,8 @@
 #define BLITZ_COIN_PAIRING_HPP
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "ledger.hpp"
@@ -84,6 +86,66 @@ class IsolationDetector
 };
 
 /**
+ * A tile's random-pairing candidates: one ascending member list,
+ * shared by every tile of the system, minus a few skipped positions.
+ *
+ * An explicit per-tile list of non-neighbors would be O(N) per tile,
+ * O(N^2) per mesh. Instead, the complement of a tile's neighborhood
+ * is the shared list with the tile itself and its (at most four)
+ * neighbors skipped, plus one skip per partner shun() removes later.
+ * A null member list stands for the identity list [0, N), so a fully
+ * managed mesh shares no list at all. operator[] walks the sorted
+ * skip positions, so the k-th candidate is exactly the k-th entry of
+ * the ascending explicit complement: LFSR walks and uniform draws
+ * replay unchanged.
+ */
+class FarSet
+{
+  public:
+    using Members = std::shared_ptr<const std::vector<noc::NodeId>>;
+
+    /** The empty set. */
+    FarSet() = default;
+
+    /** The shared strictly ascending @p members, nothing skipped. */
+    explicit FarSet(Members members);
+
+    /** An explicit strictly ascending list, nothing skipped. */
+    FarSet(std::initializer_list<noc::NodeId> ids);
+
+    /** The identity list [0, @p n), nothing skipped. */
+    static FarSet identity(std::size_t n);
+
+    std::size_t size() const { return count_ - skips_.size(); }
+    bool empty() const { return size() == 0; }
+
+    /** The @p k-th candidate in ascending order; k < size(). */
+    noc::NodeId
+    operator[](std::size_t k) const
+    {
+        std::size_t pos = k;
+        for (std::uint32_t s : skips_) {
+            if (s > pos)
+                break;
+            ++pos;
+        }
+        return members_ ? (*members_)[pos]
+                        : static_cast<noc::NodeId>(pos);
+    }
+
+    /** Drop @p id from the set (no-op when it is not a candidate). */
+    void erase(noc::NodeId id);
+
+    /** The candidates, materialized in order (O(N); not for hot use). */
+    std::vector<noc::NodeId> toVector() const;
+
+  private:
+    Members members_;
+    std::uint32_t count_ = 0;          ///< entries in the member list
+    std::vector<std::uint32_t> skips_; ///< ascending skipped positions
+};
+
+/**
  * Per-tile partner selector.
  *
  * next() yields the partner for the tile's next exchange: one of its
@@ -104,14 +166,13 @@ class PartnerSelector
                     const PairingConfig &cfg, sim::Rng &rng);
 
     /**
-     * Construct from explicit partner lists — used when only a subset
+     * Construct from explicit partner sets — used when only a subset
      * of tiles participates in power management (Section IV-C: memory,
      * IO and CPU tiles hold fixed coins and never exchange).
      * @param neighbors rotation partners (the logical mesh neighbors).
      * @param far random-pairing partners (managed non-neighbors).
      */
-    PartnerSelector(std::vector<noc::NodeId> neighbors,
-                    std::vector<noc::NodeId> far,
+    PartnerSelector(std::vector<noc::NodeId> neighbors, FarSet far,
                     const PairingConfig &cfg, sim::Rng &rng);
 
     /**
@@ -129,8 +190,8 @@ class PartnerSelector
     /** Neighbor list used for rotation (N,S,E,W order, deduplicated). */
     const std::vector<noc::NodeId> &neighbors() const { return neighbors_; }
 
-    /** Non-neighbor (random-pairing) candidate list. */
-    const std::vector<noc::NodeId> &far() const { return far_; }
+    /** Non-neighbor (random-pairing) candidates. */
+    const FarSet &far() const { return far_; }
 
   private:
     noc::NodeId nextFar();
@@ -138,7 +199,7 @@ class PartnerSelector
     PairingConfig cfg_;
     sim::Rng *rng_;
     std::vector<noc::NodeId> neighbors_;
-    std::vector<noc::NodeId> far_; ///< all non-neighbors, fixed order
+    FarSet far_; ///< all non-neighbors, ascending
     std::size_t rotate_ = 0;
     std::size_t farPos_ = 0;
     unsigned exchangeCount_ = 0;

@@ -101,56 +101,6 @@ EventQueue::releaseSlot(std::uint32_t slot)
     freeHead_ = slot;
 }
 
-void
-EventQueue::heapPush(HeapEntry e)
-{
-    // Hole-based sift-up into the far-heap: the new entry is held in a
-    // register and parents slide down until its position is found (one
-    // store per level instead of a three-store swap).
-    std::size_t i = far_.size();
-    far_.push_back(e);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (!entryBefore(e, far_[parent]))
-            break;
-        far_[i] = far_[parent];
-        i = parent;
-    }
-    far_[i] = e;
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const std::size_t n = far_.size();
-    const HeapEntry e = far_[i];
-    for (;;) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n)
-            break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + 4, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (entryBefore(far_[c], far_[best]))
-                best = c;
-        }
-        if (!entryBefore(far_[best], e))
-            break;
-        far_[i] = far_[best];
-        i = best;
-    }
-    far_[i] = e;
-}
-
-void
-EventQueue::heapPopFront()
-{
-    far_.front() = far_.back();
-    far_.pop_back();
-    if (!far_.empty())
-        siftDown(0);
-}
-
 Tick
 EventQueue::wheelNext(std::uint32_t &idxOut) const
 {
@@ -201,8 +151,8 @@ EventQueue::nextTick() const
     const Tick w = wheelNext(idx);
     if (w < t)
         t = w;
-    if (!far_.empty() && far_.front().when < t)
-        t = far_.front().when;
+    if (!far_.empty() && far_.top().when < t)
+        t = far_.top().when;
     return t;
 }
 
@@ -214,9 +164,9 @@ EventQueue::refillBatch(Tick limit)
     for (;;) {
         // Slide far events that now fall inside the window into their
         // buckets (their keys keep them in exact order at drain time).
-        while (!far_.empty() && far_.front().when - now_ < kWheelTicks) {
-            const HeapEntry e = far_.front();
-            heapPopFront();
+        while (!far_.empty() && far_.top().when - now_ < kWheelTicks) {
+            const HeapEntry e = far_.top();
+            far_.pop();
             wheelAppend(e);
         }
         std::uint32_t idx = 0;
@@ -300,10 +250,10 @@ EventQueue::refillBatch(Tick limit)
         }
         if (far_.empty())
             return false;
-        const HeapEntry top = far_.front();
+        const HeapEntry top = far_.top();
         Node *n = node(top.slot);
         if (n->state == kCancelled) {
-            heapPopFront();
+            far_.pop();
             --entryCount_;
             --pending_;
             --cancelledTokens_;

@@ -55,6 +55,7 @@
 
 #include "arena.hpp"
 #include "logging.hpp"
+#include "quad_heap.hpp"
 #include "types.hpp"
 
 namespace blitz::sim {
@@ -586,11 +587,15 @@ class EventQueue
     /** Install the context runOne() stamps the executing locus into. */
     void setContext(ShardContext *c) { ctx_ = c; }
 
-    static bool
-    entryBefore(const HeapEntry &a, const HeapEntry &b)
+    /** Far-heap order: the full (when, ord) key. */
+    struct EntryBefore
     {
-        return a.when != b.when ? a.when < b.when : a.ord < b.ord;
-    }
+        bool
+        operator()(const HeapEntry &a, const HeapEntry &b) const
+        {
+            return a.when != b.when ? a.when < b.when : a.ord < b.ord;
+        }
+    };
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
     static constexpr std::uint32_t kChunkNodes = 256;
@@ -721,7 +726,7 @@ class EventQueue
         if (e.when - now_ < kWheelTicks)
             wheelAppend(e);
         else
-            heapPush(e);
+            far_.push(e);
     }
 
     /** Append into the bucket of e.when (must be inside the window). */
@@ -825,16 +830,14 @@ class EventQueue
     void releaseSlot(std::uint32_t slot);
     void addChunk();
     void addEntryChunks();
-    void heapPush(HeapEntry e);
-    void heapPopFront();
-    void siftDown(std::size_t i);
 
     Arena *arena_;
     std::vector<Node *> chunks_;
     std::vector<Bucket> wheel_; ///< kWheelTicks per-tick buckets
     std::array<std::uint64_t, kWheelWords> occWords_{};
     std::uint64_t occSummary_ = 0; ///< nonzero occWords_ bitmap
-    std::vector<HeapEntry> far_;   ///< 4-ary min-heap beyond the window
+    /// Entries beyond the window: the shared 4-ary heap, un-indexed.
+    QuadHeap<HeapEntry, EntryBefore> far_;
     std::vector<HeapEntry> batch_; ///< the tick being drained, by ord
     /// Scratch for the drain-time k-way run merge. A raw buffer, not a
     /// vector: entries are written front to back and copied out, so

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coin/engine.hpp"
 #include "noc/network.hpp"
 #include "power/rail.hpp"
 #include "power/thermal.hpp"
@@ -401,6 +402,43 @@ TEST(AllocCount, RingRecorderSteadyStateIsAllocationFree)
     // and maxChunks full chunks, depending on ring position.
     EXPECT_LE(rec.size(), cfg.chunkRecords * cfg.maxChunks);
     EXPECT_GT(rec.size(), cfg.chunkRecords * (cfg.maxChunks - 1));
+}
+
+TEST(AllocCount, MeshSimRunLoopIsAllocationFree)
+{
+    // The behavioral engine's firing schedule is an indexed heap with
+    // one entry per tile, sized at construction: re-keying a tile —
+    // after an exchange or an activity change — never grows it, so
+    // the 1-way run loop (heap, partner selection, pairwise exchange,
+    // error bookkeeping) and re-targeting between runs must not touch
+    // the heap allocator at all, from the very first firing.
+    blitz::coin::EngineConfig cfg;
+    blitz::coin::MeshSim sim(blitz::noc::Topology::square(12), cfg, 3);
+    auto target = [](std::size_t i, std::size_t phase) {
+        return ((i + phase) % 4 == 3)
+                   ? blitz::coin::Coins{0}
+                   : static_cast<blitz::coin::Coins>(8 + 4 * (i % 3));
+    };
+    blitz::coin::Coins demand = 0;
+    for (std::size_t i = 0; i < sim.ledger().size(); ++i) {
+        sim.setMax(i, target(i, 0));
+        demand += target(i, 0);
+    }
+    sim.clusterHas(demand / 2);
+
+    const std::uint64_t before = gAllocCount.load();
+    for (std::size_t phase = 0; phase < 4; ++phase) {
+        // A demand change re-targets every tile, then the mesh settles.
+        for (std::size_t i = 0; phase > 0 && i < sim.ledger().size(); ++i)
+            sim.setMax(i, target(i, phase));
+        const auto conv =
+            sim.runUntilConverged(0.5, sim.now() + 2'000'000);
+        EXPECT_TRUE(conv.converged) << "phase " << phase;
+        sim.runFor(20'000);
+    }
+    EXPECT_EQ(gAllocCount.load() - before, 0u)
+        << "MeshSim's run loop or re-targeting allocated";
+    EXPECT_GT(sim.totalExchanges(), 1000u);
 }
 
 } // namespace

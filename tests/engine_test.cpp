@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "coin/engine.hpp"
 
 namespace {
@@ -15,6 +17,14 @@ using namespace blitz;
 using coin::EngineConfig;
 using coin::ExchangeMode;
 using coin::MeshSim;
+
+// Every partner selector holds a pointer into its engine's own RNG, so
+// a copied or moved engine would draw from the source's stream.
+static_assert(!std::is_copy_constructible_v<MeshSim> &&
+                  !std::is_copy_assignable_v<MeshSim> &&
+                  !std::is_move_constructible_v<MeshSim> &&
+                  !std::is_move_assignable_v<MeshSim>,
+              "MeshSim must be neither copyable nor movable");
 
 EngineConfig
 baseConfig()

@@ -81,7 +81,7 @@ TEST(Neighborhood, FarListIsManagedNonNeighbors)
     auto managed = flags(16, {0u, 1u, 2u, 3u, 12u, 13u, 14u, 15u});
     auto hoods = coin::managedNeighborhoods(topo, managed);
     for (noc::NodeId id : {0u, 1u, 2u, 3u, 12u, 13u, 14u, 15u}) {
-        for (noc::NodeId f : hoods[id].far) {
+        for (noc::NodeId f : hoods[id].far.toVector()) {
             EXPECT_TRUE(managed[f]);
             EXPECT_EQ(std::find(hoods[id].neighbors.begin(),
                                 hoods[id].neighbors.end(), f),
