@@ -22,6 +22,11 @@ constexpr sim::Tick busyRetry = 4;
 /** Unresolved-exchange backlog bound (initiator side). */
 constexpr std::size_t maxUnresolved = 32;
 
+/** servedLog_ order: ascending initiator. */
+constexpr auto byInitiator = [](const auto &log, noc::NodeId n) {
+    return log.initiator < n;
+};
+
 } // namespace
 
 BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
@@ -492,25 +497,21 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
             ++th->second.used;
         }
         const std::uint64_t xid = tagValue(pkt.payload[3]);
-        auto &log = servedLog_[pkt.src];
-        for (const ServedExchange &e : log) {
-            if (e.xid == xid) {
-                // Duplicated CoinStatus: the rebalance already ran.
-                // Replay the recorded update instead of applying the
-                // exchange a second time.
-                ++duplicatesIgnored_;
-                if (tracer_)
-                    tracer_->instant(
-                        "coin", "dup_status_replayed", self_,
-                        eq_.now(),
-                        {{"xid", static_cast<std::int64_t>(xid)},
-                         {"initiator",
-                          static_cast<std::int64_t>(pkt.src)}});
-                if (sentry_)
-                    sentry_->noteServed(pkt.src);
-                sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
-                return;
-            }
+        const ServedLog *log = findServedLog(pkt.src);
+        if (const ServedExchange *e = log ? log->find(xid) : nullptr) {
+            // Duplicated CoinStatus: the rebalance already ran. Replay
+            // the recorded update instead of applying the exchange a
+            // second time.
+            ++duplicatesIgnored_;
+            if (tracer_)
+                tracer_->instant(
+                    "coin", "dup_status_replayed", self_, eq_.now(),
+                    {{"xid", static_cast<std::int64_t>(xid)},
+                     {"initiator", static_cast<std::int64_t>(pkt.src)}});
+            if (sentry_)
+                sentry_->noteServed(pkt.src);
+            sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
+            return;
         }
 
         coin::TileCoins remote{pkt.payload[0], pkt.payload[1]};
@@ -557,9 +558,7 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
 
         // Remember the outcome so a duplicated status or a CoinRecover
         // probe can replay it without moving coins again.
-        log.push_back(ServedExchange{xid, reported});
-        while (log.size() > cfg_.servedLogDepth)
-            log.pop_front();
+        logServed(pkt.src, ServedExchange{xid, reported});
         sendOneWayUpdate(pkt.src, xid, reported, FlagOneWay);
     });
 }
@@ -572,16 +571,13 @@ BlitzCoinUnit::serveRecover(const noc::Packet &pkt)
             return;
         const std::uint64_t xid =
             static_cast<std::uint64_t>(pkt.payload[0]);
-        auto it = servedLog_.find(pkt.src);
-        if (it != servedLog_.end()) {
-            for (const ServedExchange &e : it->second) {
-                if (e.xid == xid) {
-                    // The exchange ran here; replay its recorded delta.
-                    sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
-                    return;
-                }
+        if (const ServedLog *log = findServedLog(pkt.src)) {
+            if (const ServedExchange *e = log->find(xid)) {
+                // The exchange ran here; replay its recorded delta.
+                sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
+                return;
             }
-            if (!it->second.empty() && xid < it->second.back().xid) {
+            if (xid < log->newest().xid) {
                 // Older than the log's horizon: the outcome was served
                 // and since evicted. Only the audit can close this.
                 sendOneWayUpdate(pkt.src, xid, 0, FlagUnknown);
@@ -592,6 +588,27 @@ BlitzCoinUnit::serveRecover(const noc::Packet &pkt)
         // no coins moved on either side — a clean null resolution.
         sendOneWayUpdate(pkt.src, xid, 0, FlagOneWay);
     });
+}
+
+const BlitzCoinUnit::ServedLog *
+BlitzCoinUnit::findServedLog(noc::NodeId initiator) const
+{
+    const auto it = std::lower_bound(servedLog_.begin(), servedLog_.end(),
+                                     initiator, byInitiator);
+    return it != servedLog_.end() && it->initiator == initiator ? &*it
+                                                                : nullptr;
+}
+
+void
+BlitzCoinUnit::logServed(noc::NodeId initiator, const ServedExchange &e)
+{
+    auto it = std::lower_bound(servedLog_.begin(), servedLog_.end(),
+                               initiator, byInitiator);
+    if (it == servedLog_.end() || it->initiator != initiator) {
+        it = servedLog_.insert(it, ServedLog{});
+        it->initiator = initiator;
+    }
+    it->push(e);
 }
 
 void

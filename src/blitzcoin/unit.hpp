@@ -30,7 +30,7 @@
 #ifndef BLITZ_BLITZCOIN_UNIT_HPP
 #define BLITZ_BLITZCOIN_UNIT_HPP
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -172,9 +172,15 @@ struct UnitConfig
      * to the audit/remint watchdog.
      */
     int maxRecoverAttempts = 6;
-    /** Per-initiator depth of the partner's served-exchange log. */
-    std::size_t servedLogDepth = 8;
 };
+
+/**
+ * Served exchanges the partner remembers per initiator: a duplicated
+ * CoinStatus or a CoinRecover probe for one of the last
+ * kServedLogDepth xids replays the logged delta; an older xid is
+ * answered FlagUnknown and left to the audit watchdog.
+ */
+inline constexpr std::size_t kServedLogDepth = 8;
 
 /**
  * Per-tile BlitzCoin FSM.
@@ -414,6 +420,51 @@ class BlitzCoinUnit
     };
 
     /**
+     * One initiator's served-exchange log: its last kServedLogDepth
+     * outcomes in an inline ring, the oldest overwritten first. Slots
+     * [0, size) are always the live ones, so lookup needs no ring
+     * arithmetic; only newest() does.
+     */
+    struct ServedLog
+    {
+        noc::NodeId initiator = 0;
+        std::uint8_t next = 0; ///< slot the next outcome overwrites
+        std::uint8_t size = 0;
+        std::array<ServedExchange, kServedLogDepth> ring{};
+
+        /** The logged outcome of @p xid, or nullptr if not logged. */
+        const ServedExchange *
+        find(std::uint64_t xid) const
+        {
+            for (std::size_t i = 0; i < size; ++i)
+                if (ring[i].xid == xid)
+                    return &ring[i];
+            return nullptr;
+        }
+
+        const ServedExchange &
+        newest() const
+        {
+            return ring[(next + kServedLogDepth - 1) % kServedLogDepth];
+        }
+
+        void
+        push(const ServedExchange &e)
+        {
+            ring[next] = e;
+            next = static_cast<std::uint8_t>((next + 1) %
+                                             kServedLogDepth);
+            if (size < kServedLogDepth)
+                ++size;
+        }
+    };
+
+    /** @p initiator's served log, or nullptr if it was never served. */
+    const ServedLog *findServedLog(noc::NodeId initiator) const;
+    /** Log one served outcome for @p initiator. */
+    void logServed(noc::NodeId initiator, const ServedExchange &e);
+
+    /**
      * Locally computable imbalance: holding coins with no need, or
      * active with none — either keeps the refresh cadence capped so
      * the tile does not back off while it has business to transact.
@@ -509,8 +560,13 @@ class BlitzCoinUnit
     std::optional<PendingExchange> pending_;
     /** Timed-out exchanges being reconciled in the background. */
     std::vector<PendingExchange> unresolved_;
-    /** Per-initiator log of recently served exchanges (partner side). */
-    std::map<noc::NodeId, std::deque<ServedExchange>> servedLog_;
+    /**
+     * Per-initiator logs of recently served exchanges (partner side),
+     * sorted by initiator: one entry per initiator served since the
+     * last crash. The rings are inline, so steady-state serving never
+     * allocates.
+     */
+    std::vector<ServedLog> servedLog_;
     /** Per-center stamp of the last applied group update (dedup). */
     std::map<noc::NodeId, std::uint64_t> groupSeen_;
     /** Monotonic exchange stamp; survives crash/restart (see restart). */

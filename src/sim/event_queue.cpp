@@ -183,12 +183,13 @@ EventQueue::refillBatch(Tick limit)
             if (b.count > batch_.capacity())
                 batch_.reserve(std::max(batch_.capacity() * 2,
                                         std::size_t{b.count}));
-            // Keep the merge scratch in lockstep with batch_ capacity
-            // so a drain that needs sorting never allocates. Sorting
-            // is rare on (prio, seq) keys — only a cross-priority
-            // append breaks run order — so sizing the scratch lazily
-            // inside the sort would push its first allocation past
-            // any warmup into the audited steady state.
+            // Keep the sort scratch in lockstep with batch_ capacity
+            // so a drain that needs sorting never allocates. How often
+            // a drain sorts depends on the workload — a cross-priority
+            // append is enough, and on a busy packet mesh most ticks
+            // have one, while a small SoC rarely does — so sizing the
+            // scratch lazily inside the sort would push its first
+            // allocation past any warmup into the audited steady state.
             if (mergeCap_ < batch_.capacity()) {
                 mergeCap_ = batch_.capacity();
                 mergeBuf_ = std::make_unique<HeapEntry[]>(mergeCap_);
@@ -289,6 +290,39 @@ void
 EventQueue::sortBatchByOrd()
 {
     const std::size_t n = batch_.size();
+    if (mergeCap_ < n) {
+        mergeCap_ = std::max(mergeCap_ * 2, n);
+        mergeBuf_ = std::make_unique<HeapEntry[]>(mergeCap_);
+    }
+    // Count each priority class and check that it arrived ascending on
+    // its own. Classes occupy disjoint, ordered key ranges, so if they
+    // all did, a stable scatter by class is the whole sort.
+    std::array<std::size_t, kPrioClasses> pos{};
+    std::array<std::uint64_t, kPrioClasses> last{};
+    bool ascending = true;
+    for (const HeapEntry &e : batch_) {
+        const auto c = static_cast<std::size_t>(e.ord >> kPrioShift);
+        ascending &= e.ord >= last[c];
+        last[c] = e.ord;
+        ++pos[c];
+    }
+    if (!ascending) {
+        mergeBatchRuns();
+        return;
+    }
+    std::size_t base = 0;
+    for (std::size_t &p : pos)
+        base += std::exchange(p, base);
+    HeapEntry *out = mergeBuf_.get();
+    for (const HeapEntry &e : batch_)
+        out[pos[e.ord >> kPrioShift]++] = e;
+    std::memcpy(batch_.data(), out, n * sizeof(HeapEntry));
+}
+
+void
+EventQueue::mergeBatchRuns()
+{
+    const std::size_t n = batch_.size();
     // Detect the ascending runs the appends formed. One linear scan
     // over contiguous memory — trivial next to the merging it saves.
     runBounds_.clear();
@@ -297,10 +331,6 @@ EventQueue::sortBatchByOrd()
         if (batch_[i].ord < batch_[i - 1].ord)
             runBounds_.push_back(static_cast<std::uint32_t>(i));
     runBounds_.push_back(static_cast<std::uint32_t>(n));
-    if (mergeCap_ < n) {
-        mergeCap_ = std::max(mergeCap_ * 2, n);
-        mergeBuf_ = std::make_unique<HeapEntry[]>(mergeCap_);
-    }
     // Bottom-up passes: merge adjacent run pairs, ping-ponging between
     // batch_ and the scratch buffer, halving the run count each pass.
     // The pair merges within one pass are independent, so they overlap

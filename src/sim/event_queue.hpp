@@ -14,9 +14,13 @@
  * Ordering uses a calendar structure instead of a global heap: ticks
  * within a kWheelTicks window of now() hash into per-tick wheel
  * buckets (unsorted O(1) append), and a whole tick's bucket is drained
- * as one *batch*, sorted by the 64-bit ord key only when appends
- * arrived out of ord order (steady-state traffic appends in ascending
- * ord, so the common case never sorts). Events beyond the window park
+ * as one *batch* in 64-bit ord-key order. A bucket whose appends
+ * arrived in ascending ord drains as is. On a busy packet mesh most do
+ * not: NocTransfer hops land in ticks that already hold Default-class
+ * protocol timers. Each priority class on its own almost always
+ * arrives ascending, though, so the drain restores order with a stable
+ * counting partition by class, and falls back to a run merge only when
+ * a class is itself out of order. Events beyond the window park
  * in a small 4-ary far-heap and migrate into the wheel as time
  * advances. Because every entry carries the full (tick, priority,
  * insertion-seq) key and keys are unique, the drain order is exactly
@@ -67,9 +71,9 @@ namespace blitz::sim {
 enum class Priority : int
 {
     NocTransfer = 0,  ///< packet hops land before logic reacts to them
-    Default = 10,
-    Controller = 20,  ///< PM controllers act after state settles
-    Stats = 30,       ///< sampling sees the post-update state
+    Default = 1,
+    Controller = 2,   ///< PM controllers act after state settles
+    Stats = 3,        ///< sampling sees the post-update state
 };
 
 class EventQueue;
@@ -486,9 +490,10 @@ class EventQueue
     /**
      * Heap element: the complete (when, priority, insertion-seq) sort
      * key plus the owning slot. Priority and sequence pack into one
-     * word — 16 bits of priority class over a 48-bit sequence counter
-     * (2^48 events ≈ centuries of simulated work) — so ordering is
-     * two integer compares over contiguous memory.
+     * word — the priority class in the top kPrioBits bits over a
+     * 48-bit sequence counter (2^48 events ≈ centuries of simulated
+     * work) — so ordering is two integer compares over contiguous
+     * memory.
      */
     struct HeapEntry
     {
@@ -497,21 +502,40 @@ class EventQueue
         std::uint32_t slot;
     };
 
+    /**
+     * Priority-class field shared by both ord key formats: the top
+     * kPrioBits bits, so `ord >> kPrioShift` is the class and every
+     * key of a lower class sorts before every key of a higher one —
+     * the property the drain's class partition relies on.
+     */
+    static constexpr unsigned kPrioBits = 2;
+    static constexpr unsigned kPrioShift = 64 - kPrioBits;
+    static constexpr std::size_t kPrioClasses = std::size_t{1}
+                                                << kPrioBits;
+
+    static std::uint64_t
+    prioField(Priority prio)
+    {
+        const auto p = static_cast<std::int64_t>(prio);
+        BLITZ_ASSERT(p >= 0 && p < static_cast<std::int64_t>(kPrioClasses),
+                     "priority out of range");
+        return static_cast<std::uint64_t>(p) << kPrioShift;
+    }
+
     static std::uint64_t
     packOrd(Priority prio, std::uint64_t seq)
     {
-        const auto p = static_cast<std::int64_t>(prio);
-        BLITZ_ASSERT(p >= 0 && p < 0x8000, "priority out of range");
         BLITZ_ASSERT(seq < (std::uint64_t{1} << 48),
                      "insertion sequence overflow");
-        return (static_cast<std::uint64_t>(p) << 48) | seq;
+        return prioField(prio) | seq;
     }
 
     /**
      * Sharded same-tick sort key: (priority, origin locus, per-locus
      * counter) packed into the same 64-bit ord word the legacy
-     * (priority, seq) key uses — 8 bits of priority over a 20-bit
-     * locus (1M mesh nodes + the serial lane) over a 36-bit counter.
+     * (priority, seq) key uses — the priority class in the top bits
+     * over a 20-bit locus (1M mesh nodes + the serial lane) over a
+     * 36-bit counter.
      * The key is a pure function of *which mesh node scheduled the
      * event and how many events that node had scheduled before*, so
      * it is identical for every shard count — the property the golden
@@ -527,16 +551,17 @@ class EventQueue
                   "kMaxMeshNodes no longer fits the sharded ord key's "
                   "locus field");
 
+    static_assert(kLocusBits + 36 <= kPrioShift,
+                  "sharded ord key fields overlap the priority class");
+
     static std::uint64_t
     packOrdSharded(Priority prio, std::uint32_t locus,
                    std::uint64_t counter)
     {
-        const auto p = static_cast<std::int64_t>(prio);
-        BLITZ_ASSERT(p >= 0 && p < 0x100, "priority out of range");
         BLITZ_ASSERT(locus < (1u << kLocusBits), "locus out of range");
         BLITZ_ASSERT(counter < (std::uint64_t{1} << 36),
                      "per-locus counter overflow");
-        return (static_cast<std::uint64_t>(p) << 56) |
+        return prioField(prio) |
                (static_cast<std::uint64_t>(locus) << 36) | counter;
     }
 
@@ -630,14 +655,19 @@ class EventQueue
 
     /**
      * One tick's pending events, appended in schedule order as a chunk
-     * chain. `sorted` tracks whether appends arrived in ascending ord
-     * — true for steady-state legacy-key traffic (ord grows with
-     * insertion sequence), so the drain skips ordering work entirely.
-     * Sharded (prio, locus, counter) keys instead arrive as a few
-     * ascending *runs* (the locus component restarts once per
-     * scheduling pass within a tick, and ejection-overflow buckets
-     * collect one run per source tick); the drain handles those with
-     * a natural merge over the detected runs, not a general sort.
+     * chain. `sorted` tracks whether appends arrived in ascending ord,
+     * in which case the drain skips ordering work entirely. Legacy
+     * (prio, seq) keys grow with insertion sequence, so a bucket only
+     * goes unsorted when a lower priority class is appended after a
+     * higher one — which on a busy packet mesh is most ticks (a hop
+     * lands at NocTransfer after a Default-class timer was filed for
+     * the same tick), so the drain partitions by class instead of
+     * sorting. Sharded (prio, locus, counter) keys and far-heap
+     * migrations can break order *within* a class (the locus component
+     * restarts once per scheduling pass within a tick, and ejection-
+     * overflow buckets collect one run per source tick); the drain
+     * handles those with a natural merge over the detected runs, not a
+     * general sort.
      */
     struct Bucket
     {
@@ -814,6 +844,15 @@ class EventQueue
                           HeapEntry *out);
 
     /**
+     * Restore ascending-ord order in batch_. One pass counts the
+     * entries of each priority class and checks that every class
+     * arrived ascending on its own; if so, one stable scatter by class
+     * (through mergeBuf_) finishes the job. Only a class that is out
+     * of order in itself takes mergeBatchRuns().
+     */
+    void sortBatchByOrd();
+
+    /**
      * Restore ascending-ord order in batch_ by a natural bottom-up
      * merge over the ascending runs the appends formed. Sharded-key
      * buckets concatenate ~30 short runs in mesh steady state
@@ -824,7 +863,7 @@ class EventQueue
      * per-entry replay is a serial chain of dependent loads while the
      * pair merges within a pass pipeline independently.
      */
-    void sortBatchByOrd();
+    void mergeBatchRuns();
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t slot);
@@ -839,9 +878,10 @@ class EventQueue
     /// Entries beyond the window: the shared 4-ary heap, un-indexed.
     QuadHeap<HeapEntry, EntryBefore> far_;
     std::vector<HeapEntry> batch_; ///< the tick being drained, by ord
-    /// Scratch for the drain-time k-way run merge. A raw buffer, not a
-    /// vector: entries are written front to back and copied out, so
-    /// value-initializing the tail on every growth would be pure waste.
+    /// Scratch for the drain-time class scatter and run merge. A raw
+    /// buffer, not a vector: entries are written front to back and
+    /// copied out, so value-initializing the tail on every growth would
+    /// be pure waste.
     std::unique_ptr<HeapEntry[]> mergeBuf_;
     std::size_t mergeCap_ = 0;             ///< mergeBuf_ capacity
     std::vector<std::uint32_t> runBounds_; ///< run boundaries, reused

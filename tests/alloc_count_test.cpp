@@ -1,6 +1,7 @@
 /**
  * @file
- * Steady-state allocation audit for the event kernel and the NoC.
+ * Steady-state allocation audit for the event kernel, the NoC and the
+ * BlitzCoin serve path.
  *
  * The fast-path rewrite's zero-allocation claim, made checkable: this
  * binary replaces the global allocation functions with counting
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "coin/engine.hpp"
+#include "fault/chaos.hpp"
 #include "noc/network.hpp"
 #include "power/rail.hpp"
 #include "power/thermal.hpp"
@@ -439,6 +441,46 @@ TEST(AllocCount, MeshSimRunLoopIsAllocationFree)
     EXPECT_EQ(gAllocCount.load() - before, 0u)
         << "MeshSim's run loop or re-targeting allocated";
     EXPECT_GT(sim.totalExchanges(), 1000u);
+}
+
+TEST(AllocCount, BlitzCoinServePathSteadyStateIsAllocationFree)
+{
+    // Partner side of the 1-way protocol: every served CoinStatus
+    // scans the initiator's served-exchange log and logs its outcome.
+    // Once every initiator has been served at least once (the LFSR far
+    // rotation reaches every tile well inside the warmup), logging a
+    // new outcome overwrites the oldest in place, so serving — like
+    // initiating, the timeout timer and the NoC hops beneath them —
+    // must never touch the heap.
+    fault::ChaosConfig cc;
+    cc.width = 6;
+    cc.height = 6;
+    fault::ChaosCluster c(cc);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        c.setMax(i, i % 4 == 3
+                        ? 0
+                        : static_cast<coin::Coins>(8 + 4 * (i % 3)));
+        c.setHas(i, 6);
+    }
+    c.sealProvision();
+    c.startAll();
+    c.eq().runUntil(4'000'000);
+
+    auto served = [&c] {
+        // No faults: every initiated exchange is served exactly once.
+        std::uint64_t n = 0;
+        for (std::size_t i = 0; i < c.size(); ++i)
+            n += c.unit(i).exchangesInitiated();
+        return n;
+    };
+    const std::uint64_t before = gAllocCount.load();
+    const std::uint64_t servedBefore = served();
+    c.eq().runUntil(8'000'000);
+    EXPECT_EQ(gAllocCount.load() - before, 0u)
+        << "steady-state BlitzCoin serving allocated";
+    // The audited window really serves: ~70k exchanges at this seed.
+    EXPECT_GT(served() - servedBefore, 35'000u);
+    EXPECT_EQ(c.totalCoins(), 36 * 6);
 }
 
 } // namespace

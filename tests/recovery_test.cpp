@@ -456,4 +456,124 @@ TEST(Recovery, FrozenTileKeepsItsCoins)
     EXPECT_EQ(c.unit(1).has(), 8);
 }
 
+/**
+ * One BlitzCoin partner (tile 0 of a 4x4 mesh, never started, so it
+ * only serves) probed with hand-built CoinStatus / CoinRecover packets;
+ * every other tile just collects the partner's replies.
+ */
+struct ServedLogProbe
+{
+    sim::EventQueue eq;
+    noc::Topology topo{4, 4, false};
+    noc::Network net{eq, topo};
+    blitzcoin::BlitzCoinUnit partner{eq, net, 0, blitzcoin::UnitConfig{},
+                                     1};
+    std::vector<noc::Packet> replies;
+
+    ServedLogProbe()
+    {
+        net.setHandler(0, [this](const noc::Packet &p) {
+            partner.handlePacket(p);
+        });
+        for (noc::NodeId id = 1; id < topo.size(); ++id)
+            net.setHandler(id, [this](const noc::Packet &p) {
+                replies.push_back(p);
+            });
+        partner.setMax(4);
+    }
+
+    /** Deliver one packet from @p from and return the partner's reply. */
+    noc::Packet
+    ask(noc::NodeId from, noc::MsgType type, std::uint64_t xid)
+    {
+        noc::Packet p;
+        p.src = from;
+        p.dst = 0;
+        p.plane = noc::Plane::Service;
+        p.type = type;
+        if (type == noc::MsgType::CoinStatus) {
+            // An idle initiator holding xid coins hands them all over,
+            // so every outcome has its own nonzero delta (-xid).
+            p.payload[0] = static_cast<coin::Coins>(xid);
+            p.payload[1] = 0;
+            p.payload[2] = coin::uncapped;
+            p.payload[3] = blitzcoin::wire::packTag(
+                xid, blitzcoin::wire::FlagOneWay);
+        } else {
+            p.payload[0] = static_cast<std::int64_t>(xid);
+        }
+        replies.clear();
+        net.send(p);
+        eq.runUntil(eq.now() + 256);
+        EXPECT_EQ(replies.size(), 1u);
+        return replies.empty() ? noc::Packet{} : replies.back();
+    }
+};
+
+int
+replyFlag(const noc::Packet &p)
+{
+    return blitzcoin::wire::tagFlag(p.payload[3]);
+}
+
+TEST(Recovery, ServedLogKeepsTheLastEightOutcomesPerInitiator)
+{
+    // Pins the partner's served-exchange horizon: the last 8 outcomes
+    // per initiator replay, older ones answer FlagUnknown, and the log
+    // is per initiator — a far tile's outcomes neither evict nor are
+    // evicted by a neighbor's.
+    using blitzcoin::wire::FlagOneWay;
+    using blitzcoin::wire::FlagUnknown;
+    constexpr auto kStatus = noc::MsgType::CoinStatus;
+    constexpr auto kRecover = noc::MsgType::CoinRecover;
+    constexpr noc::NodeId kNear = 1; // neighbor of tile 0
+    constexpr noc::NodeId kFar = 15; // opposite corner
+    ServedLogProbe t;
+
+    const noc::Packet farFirst = t.ask(kFar, kStatus, 5);
+    std::vector<coin::Coins> delta(12, 0);
+    for (std::uint64_t xid = 1; xid <= 10; ++xid)
+        delta[xid] = t.ask(kNear, kStatus, xid).payload[0];
+    for (std::uint64_t xid = 1; xid <= 10; ++xid)
+        ASSERT_EQ(delta[xid], -static_cast<coin::Coins>(xid));
+    const coin::Coins held = t.partner.has();
+
+    // xids 1 and 2 were evicted by 9 and 10: only the audit can close
+    // them. 3..10 are still logged and replay their recorded delta.
+    for (std::uint64_t xid : {1u, 2u}) {
+        const noc::Packet r = t.ask(kNear, kRecover, xid);
+        EXPECT_EQ(replyFlag(r), FlagUnknown) << "xid " << xid;
+        EXPECT_EQ(r.payload[0], 0);
+    }
+    for (std::uint64_t xid = 3; xid <= 10; ++xid) {
+        const noc::Packet r = t.ask(kNear, kRecover, xid);
+        EXPECT_EQ(replyFlag(r), FlagOneWay) << "xid " << xid;
+        EXPECT_EQ(r.payload[0], delta[xid]) << "xid " << xid;
+    }
+    // Newer than anything served: the status itself was lost.
+    const noc::Packet unseen = t.ask(kNear, kRecover, 11);
+    EXPECT_EQ(replyFlag(unseen), FlagOneWay);
+    EXPECT_EQ(unseen.payload[0], 0);
+
+    // The far initiator's single outcome survived ten neighbor serves:
+    // a duplicated status replays it without moving coins again.
+    const std::uint64_t dupsBefore = t.partner.duplicatesIgnored();
+    const noc::Packet farDup = t.ask(kFar, kStatus, 5);
+    EXPECT_EQ(replyFlag(farDup), FlagOneWay);
+    EXPECT_EQ(farDup.payload[0], farFirst.payload[0]);
+    EXPECT_NE(farDup.payload[0], 0);
+    EXPECT_EQ(t.partner.duplicatesIgnored(), dupsBefore + 1);
+    EXPECT_EQ(t.partner.has(), held);
+    // ... and so does a duplicate of a logged neighbor status.
+    EXPECT_EQ(t.ask(kNear, kStatus, 7).payload[0], delta[7]);
+    EXPECT_EQ(t.partner.has(), held);
+
+    // A crash loses the log: a logged xid now reads as never served.
+    t.partner.crash();
+    t.partner.restart();
+    const noc::Packet after = t.ask(kNear, kRecover, 9);
+    EXPECT_EQ(replyFlag(after), FlagOneWay);
+    EXPECT_EQ(after.payload[0], 0);
+}
+
 } // namespace

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
 #include "sim/rng.hpp"
+#include "sim/shard.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -338,6 +341,286 @@ TEST(EventQueue, PriorityBreaksTiesBeforeFifo)
                 sim::Priority::NocTransfer);
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 0}));
+}
+
+// --------------------------------------------------------- drain order
+
+constexpr sim::Priority kPrios[] = {
+    sim::Priority::NocTransfer, sim::Priority::Default,
+    sim::Priority::Controller, sim::Priority::Stats};
+
+/** A random priority no earlier than @p floor (0..3). */
+int
+prioAtLeast(sim::Rng &rng, int floor)
+{
+    return floor + static_cast<int>(rng.below(4 - floor));
+}
+
+/**
+ * Randomized plain-queue schedule: bursts of same-tick events in all
+ * four priority classes (unsorted buckets the drain partitions by
+ * class), far-future events that migrate into buckets already holding
+ * later-scheduled entries (a class out of order in itself), same-tick
+ * splices from running callbacks, and cancellations of pending
+ * events. Every schedule() call is logged in call order, so a stable
+ * sort of the live log by (when, prio) is the (when, prio, seq)
+ * reference order. Same-tick splices use a priority no earlier than
+ * the running event's, so execution never has to go back in key order.
+ */
+struct PlainDrainModel
+{
+    struct Sched
+    {
+        sim::Tick when;
+        int prio;
+        sim::EventQueue::EventId id;
+        bool ran = false;
+        bool cancelled = false;
+    };
+
+    sim::EventQueue eq;
+    sim::Rng rng{20240611};
+    std::vector<Sched> sched;
+    std::vector<std::size_t> ran;
+    std::size_t budget = 6000;
+
+    void
+    add(sim::Tick when, int prio)
+    {
+        const std::size_t idx = sched.size();
+        const auto id = eq.schedule(
+            when, [this, idx] { run(idx); }, kPrios[prio]);
+        sched.push_back({when, prio, id});
+    }
+
+    void
+    run(std::size_t idx)
+    {
+        sched[idx].ran = true;
+        ran.push_back(idx);
+        const sim::Tick now = eq.now();
+        const int prio = sched[idx].prio;
+        for (int k = static_cast<int>(rng.below(3)); k > 0 && budget;
+             --k, --budget) {
+            switch (rng.below(4)) {
+              case 0: // same-tick splice into the live batch
+                add(now, prioAtLeast(rng, prio));
+                break;
+              case 1: // far-heap, migrates back later
+                add(now + 4096 + rng.below(8192), prioAtLeast(rng, 0));
+                break;
+              default: // a near bucket, any class
+                add(now + 1 + rng.below(24), prioAtLeast(rng, 0));
+                break;
+            }
+        }
+        if (rng.chance(0.1)) {
+            // Cancel a random event that has not run yet (a no-op on
+            // the queue if it already has, so the model skips those).
+            Sched &v = sched[rng.below(sched.size())];
+            if (!v.ran && !v.cancelled) {
+                eq.cancel(v.id);
+                v.cancelled = true;
+            }
+        }
+    }
+};
+
+TEST(DrainOrder, RandomizedPlainQueueMatchesStableSortReference)
+{
+    PlainDrainModel m;
+    for (int i = 0; i < 3000; ++i) {
+        // A narrow tick range packs many entries per bucket; some land
+        // past the wheel window and reach the bucket by migration.
+        const sim::Tick when = m.rng.chance(0.2)
+                                   ? 4096 + m.rng.below(64)
+                                   : m.rng.below(64);
+        m.add(when, prioAtLeast(m.rng, 0));
+    }
+    // Step the horizon so refills also probe ticks past the limit and
+    // re-file them. A step that jumps past the last executed tick
+    // leaves far-heap entries unmigrated although the window now covers
+    // them; scheduling from outside at one of their ticks files a
+    // later-seq entry of the same class into the bucket first, so the
+    // migration appends out of order within the class. Finish with
+    // runOne() to cover that drain loop too.
+    sim::Tick refilledAt = 0; // now() of the last migration pass
+    std::size_t behind = 0;
+    for (sim::Tick limit = 0; limit < 40000 && !m.eq.empty();
+         limit += 1 + m.rng.below(1500)) {
+        m.eq.runUntil(limit);
+        if (!m.ran.empty())
+            refilledAt = std::max(refilledAt, m.sched[m.ran.back()].when);
+        const std::size_t n = m.sched.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto v = m.sched[i];
+            if (!v.ran && !v.cancelled && v.when >= refilledAt + 4096 &&
+                v.when < limit + 4096) {
+                m.add(v.when, v.prio);
+                ++behind;
+            }
+        }
+        refilledAt = limit;
+    }
+    while (m.eq.runOne()) {
+    }
+
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < m.sched.size(); ++i)
+        if (!m.sched[i].cancelled)
+            want.push_back(i);
+    std::stable_sort(want.begin(), want.end(),
+                     [&m](std::size_t a, std::size_t b) {
+                         const auto &x = m.sched[a];
+                         const auto &y = m.sched[b];
+                         return std::tie(x.when, x.prio) <
+                                std::tie(y.when, y.prio);
+                     });
+    EXPECT_GT(m.sched.size(), 8000u) << "schedule too small to mix";
+    EXPECT_LT(want.size(), m.sched.size()) << "nothing was cancelled";
+    EXPECT_GT(behind, 0u) << "no migration landed behind a later entry";
+    EXPECT_EQ(m.ran, want);
+    EXPECT_TRUE(m.eq.empty());
+    EXPECT_EQ(m.eq.cancelledTokens(), 0u);
+}
+
+/**
+ * The same mix on a sharded anchor, where same-tick keys are (prio,
+ * origin locus, per-locus counter) and a class routinely arrives out
+ * of order within a bucket. Every piece of model state is owned by one
+ * mesh node and touched only at that node's locus — each node logs
+ * what it scheduled and what ran there — so the run is race-free at
+ * any shard count. A node's execution order must equal the stable
+ * sort of the events aimed at it by (when, prio, origin), the origin
+ * node's own log order standing in for its counter. A splice carries
+ * the running node as its origin, so it may stay in the running
+ * event's class only when that keeps it later in key order.
+ */
+struct ShardDrainModel
+{
+    struct Sched
+    {
+        sim::Tick when;
+        int prio;
+        std::uint32_t target;
+    };
+    struct Ev
+    {
+        ShardDrainModel *m;
+        std::uint32_t node;
+        std::uint32_t origin;
+        std::uint32_t index; ///< position in sched[origin]
+        int prio;
+        void operator()() const { m->run(*this); }
+    };
+
+    static constexpr std::uint32_t kNodes = 16; ///< 8x2 mesh
+    sim::EventQueue *eq;
+    std::vector<std::vector<Sched>> sched{kNodes};
+    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+        ran{kNodes};
+    std::vector<sim::Rng> rng;
+    std::vector<std::uint32_t> budget =
+        std::vector<std::uint32_t>(kNodes, 400);
+
+    explicit ShardDrainModel(sim::EventQueue &q) : eq(&q)
+    {
+        for (std::uint32_t n = 0; n < kNodes; ++n)
+            rng.emplace_back(7919 + n);
+    }
+
+    /** Schedule from @p origin (the running locus, or the target at
+     *  setup) and log it in the origin's order. */
+    void
+    add(std::uint32_t origin, std::uint32_t target, sim::Tick when,
+        int prio)
+    {
+        const auto index =
+            static_cast<std::uint32_t>(sched[origin].size());
+        sched[origin].push_back({when, prio, target});
+        eq->scheduleAtNode(target, when,
+                           Ev{this, target, origin, index, prio},
+                           kPrios[prio]);
+    }
+
+    void
+    run(const Ev &ev)
+    {
+        const std::uint32_t self = ev.node;
+        ran[self].emplace_back(ev.origin, ev.index);
+        sim::Rng &r = rng[self];
+        const sim::Tick now = eq->now();
+        for (int k = static_cast<int>(r.below(3)); k > 0 && budget[self];
+             --k, --budget[self]) {
+            const auto other = static_cast<std::uint32_t>(r.below(kNodes));
+            switch (r.below(4)) {
+              case 0: {
+                // Same-tick splice at this node. Its key carries this
+                // node as origin, so staying at the running event's
+                // class is only later in key order if this node does
+                // not sort before the running event's origin.
+                const int floor = ev.prio + (self < ev.origin ? 1 : 0);
+                if (floor < 4)
+                    add(self, self, now, prioAtLeast(r, floor));
+                break;
+              }
+              case 1: // far-heap, migrates back later
+                add(self, other, now + 4096 + r.below(8192),
+                    prioAtLeast(r, 0));
+                break;
+              default: // next ticks, often across a shard boundary
+                add(self, other, now + 1 + r.below(6), prioAtLeast(r, 0));
+                break;
+            }
+        }
+    }
+
+    /** Per-node reference order: stable sort by (when, prio, origin). */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>
+    reference(std::uint32_t node) const
+    {
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
+        for (std::uint32_t o = 0; o < kNodes; ++o)
+            for (std::uint32_t i = 0; i < sched[o].size(); ++i)
+                if (sched[o][i].target == node)
+                    want.emplace_back(o, i);
+        std::stable_sort(want.begin(), want.end(),
+                         [this](const auto &a, const auto &b) {
+                             const Sched &x = sched[a.first][a.second];
+                             const Sched &y = sched[b.first][b.second];
+                             return std::tie(x.when, x.prio, a.first) <
+                                    std::tie(y.when, y.prio, b.first);
+                         });
+        return want;
+    }
+};
+
+TEST(DrainOrder, RandomizedShardLeavesMatchStableSortReference)
+{
+    for (std::uint32_t shards : {1u, 2u, 4u}) {
+        sim::EventQueue eq;
+        sim::ShardGroup group(eq, shards, sim::columnBands(8, 2, shards));
+        ShardDrainModel m(eq);
+        sim::Rng setup(31337);
+        for (int i = 0; i < 800; ++i) {
+            const auto node = static_cast<std::uint32_t>(
+                setup.below(ShardDrainModel::kNodes));
+            const sim::Tick when = setup.chance(0.2)
+                                       ? 4096 + setup.below(32)
+                                       : setup.below(32);
+            m.add(node, node, when, prioAtLeast(setup, 0));
+        }
+        eq.runUntil();
+
+        std::size_t total = 0;
+        for (std::uint32_t n = 0; n < ShardDrainModel::kNodes; ++n) {
+            EXPECT_EQ(m.ran[n], m.reference(n))
+                << "node " << n << " at " << shards << " shards";
+            total += m.ran[n].size();
+        }
+        EXPECT_GT(total, 5000u) << shards << " shards";
+        EXPECT_TRUE(eq.empty());
+    }
 }
 
 // ----------------------------------------------------------------- rng
