@@ -37,7 +37,6 @@
 #include "fault/chaos.hpp"
 #include "sim/shard.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 
@@ -61,14 +60,7 @@ struct Row
     sim::Summary detections;    ///< detector strikes journaled
     sim::Summary reclaimed;     ///< coins the audit reminted
     int failures = 0;           ///< trials missing the deadline
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture capture;  ///< --metrics/--trace/--health
 
     void
     merge(Row &&o)
@@ -80,11 +72,7 @@ struct Row
         detections.merge(o.detections);
         reclaimed.merge(o.reclaimed);
         failures += o.failures;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        capture.merge(std::move(o.capture));
     }
 };
 
@@ -196,28 +184,25 @@ runTrial(const Scenario &sc, std::uint64_t seed,
         r.detections.add(0.0);
     }
     r.reclaimed.add(static_cast<double>(cluster.audit().coinsMinted()));
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
+    r.capture.keep(reg, std::move(tracer), pid);
     if (obs.health)
-        cluster.fillHealth(r.health);
+        cluster.fillHealth(r.capture.health);
     return r;
 }
 
 Row
 runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
-            const bench::ObsOptions &obs, std::uint32_t pidBase,
-            sweep::PoolStats *stats)
+            bench::ObsSession &session, std::uint32_t pidBase)
 {
+    const bench::ObsOptions &obs = session.options();
     // Pre-size from the replication count: one sample per trial, so
     // the fold never regrows the accumulator's buffer.
     Row acc0;
     acc0.convergeTicks.reserve(static_cast<std::size_t>(trials));
     if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
+        acc0.capture.tracers.reserve(static_cast<std::size_t>(trials));
     sweep::SweepOptions opts;
-    opts.stats = stats;
+    opts.stats = session.sweepStats();
     return sweep::runSweepFold<Row>(
         static_cast<std::size_t>(trials), rootSeed,
         [&sc, &obs, pidBase](std::size_t i, std::uint64_t seed) {
@@ -233,7 +218,7 @@ runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession session(argc, argv, "bench_byzantine");
     bench::banner("Byzantine sweep",
                   "overdraw and starvation vs. attacker count, with "
                   "and without the integrity guardian");
@@ -244,22 +229,6 @@ main(int argc, char **argv)
     constexpr int trials = 8;
     constexpr std::uint64_t rootSeed = 2026;
 
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_byzantine");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
-
     std::uint64_t scenarioIdx = 0;
     for (int attackers : {0, 1, 2, 3}) {
         for (bool guardian : {false, true}) {
@@ -267,25 +236,14 @@ main(int argc, char **argv)
             const auto pidBase =
                 static_cast<std::uint32_t>(scenarioIdx) *
                 static_cast<std::uint32_t>(trials);
-            sweep::PoolStats pool;
             Row row = runScenario(
                 sc, trials, sweep::streamSeed(rootSeed, scenarioIdx),
-                obs, pidBase, obs.health ? &pool : nullptr);
-            if (obs.metrics && !row.metrics.empty()) {
-                char tag[48];
-                std::snprintf(tag, sizeof tag, "s%02u-k%d-g%d",
-                              static_cast<unsigned>(scenarioIdx),
-                              sc.attackers, sc.guardian ? 1 : 0);
-                bench::writeMetricsCsv(
-                    row.metrics, bench::tagPath(obs.metricsPath, tag));
-            }
-            for (const auto &[pid, t] : row.tracers)
-                if (t)
-                    master.absorb(*t, pid);
-            if (obs.health) {
-                healthAll.absorb(row.health);
-                poolAll.merge(pool);
-            }
+                session, pidBase);
+            char tag[48];
+            std::snprintf(tag, sizeof tag, "s%02u-k%d-g%d",
+                          static_cast<unsigned>(scenarioIdx),
+                          sc.attackers, sc.guardian ? 1 : 0);
+            session.absorb(row.capture, tag);
             ++scenarioIdx;
             const bool any = row.convergeTicks.count() > 0;
             std::printf("%-9d %8s | %10.0f %6d | %9.1f %9.1f %9.1f "
@@ -297,15 +255,7 @@ main(int argc, char **argv)
                         row.quarantines.mean(), row.detections.mean());
         }
     }
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    session.finish();
     std::printf("\nGuardian-off rows leave the counterfeit surplus in "
                 "the mesh; guardian-on rows quarantine the attackers "
                 "and the audit watchdog reclaims the fenced coins.\n");

@@ -28,7 +28,6 @@
 #include "fault/chaos.hpp"
 #include "sim/shard.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 
@@ -57,14 +56,7 @@ struct Row
     sim::Summary abandoned;           ///< losses left to the audit
     sim::Summary dupesIgnored;        ///< replays the stamps rejected
     int failures = 0;                 ///< trials missing the deadline
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture capture;        ///< --metrics/--trace/--health
 
     void
     merge(Row &&o)
@@ -76,11 +68,7 @@ struct Row
         abandoned.merge(o.abandoned);
         dupesIgnored.merge(o.dupesIgnored);
         failures += o.failures;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        capture.merge(std::move(o.capture));
     }
 };
 
@@ -192,28 +180,25 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     r.recovered.add(rec);
     r.abandoned.add(aband);
     r.dupesIgnored.add(dupes);
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
+    r.capture.keep(reg, std::move(tracer), pid);
     if (obs.health)
-        cluster.fillHealth(r.health);
+        cluster.fillHealth(r.capture.health);
     return r;
 }
 
 Row
 runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
-            const bench::ObsOptions &obs, std::uint32_t pidBase,
-            sweep::PoolStats *stats)
+            bench::ObsSession &session, std::uint32_t pidBase)
 {
+    const bench::ObsOptions &obs = session.options();
     // Pre-size from the replication count: the sample buffer gains at
     // most one entry per trial, so the fold never regrows it.
     Row acc0;
     acc0.reconvergeTicks.reserve(static_cast<std::size_t>(trials));
     if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
+        acc0.capture.tracers.reserve(static_cast<std::size_t>(trials));
     sweep::SweepOptions opts;
-    opts.stats = stats;
+    opts.stats = session.sweepStats();
     return sweep::runSweepFold<Row>(
         static_cast<std::size_t>(trials), rootSeed,
         [&sc, &obs, pidBase](std::size_t i, std::uint64_t seed) {
@@ -229,7 +214,7 @@ runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession session(argc, argv, "bench_chaos");
     bench::banner("Chaos sweep",
                   "re-convergence and exact coin conservation under "
                   "drops, duplication, corruption, crashes, and "
@@ -255,52 +240,22 @@ main(int argc, char **argv)
     // replication); one metrics CSV per scenario, because the snapshot
     // schema carries per-tile columns (4x4 vs 6x6 differ) and summing
     // across fault configs would make the columns meaningless.
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    // Crash-safe flush: if a conservation assert (or anything else)
-    // kills the bench mid-sweep, the timeline absorbed so far still
-    // lands on disk as valid JSON.
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_chaos");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
     std::uint64_t scenarioIdx = 0;
     for (const Scenario &sc : scenarios) {
         const auto pidBase =
             static_cast<std::uint32_t>(scenarioIdx) *
             static_cast<std::uint32_t>(trials);
-        sweep::PoolStats pool;
         Row row = runScenario(sc, trials,
                               sweep::streamSeed(rootSeed, scenarioIdx),
-                              obs, pidBase,
-                              obs.health ? &pool : nullptr);
-        if (obs.health) {
-            healthAll.absorb(row.health);
-            poolAll.merge(pool);
-        }
-        if (obs.metrics && !row.metrics.empty()) {
-            char tag[64];
-            std::snprintf(tag, sizeof tag, "s%02u-%s-%dx%d",
-                          static_cast<unsigned>(scenarioIdx), sc.name,
-                          sc.d, sc.d);
-            for (char *p = tag; *p; ++p)
-                if (*p == '+')
-                    *p = '_';
-            bench::writeMetricsCsv(row.metrics,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
-        for (const auto &[pid, t] : row.tracers)
-            if (t)
-                master.absorb(*t, pid);
+                              session, pidBase);
+        char tag[64];
+        std::snprintf(tag, sizeof tag, "s%02u-%s-%dx%d",
+                      static_cast<unsigned>(scenarioIdx), sc.name, sc.d,
+                      sc.d);
+        for (char *p = tag; *p; ++p)
+            if (*p == '+')
+                *p = '_';
+        session.absorb(row.capture, tag);
         ++scenarioIdx;
         const bool any = row.reconvergeTicks.count() > 0;
         std::printf(
@@ -312,15 +267,7 @@ main(int argc, char **argv)
             row.gapClosed.mean(), row.dropsSeen.mean(),
             row.recovered.mean(), row.abandoned.mean());
     }
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    session.finish();
     std::printf("\nEvery trial quiesced with the seeded coin total "
                 "exactly restored (asserted).\n");
     return 0;

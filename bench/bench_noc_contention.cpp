@@ -25,7 +25,6 @@
 #include "blitzcoin/unit.hpp"
 #include "coin/neighborhood.hpp"
 #include "sim/rng.hpp"
-#include "trace/flush_guard.hpp"
 #include "trace/metrics.hpp"
 #include "trace/prof.hpp"
 #include "trace/tracer.hpp"
@@ -39,11 +38,7 @@ struct Result
     double settleUs = 0.0;
     std::uint64_t negatives = 0;
     bool conserved = false;
-
-    /// --metrics / --trace / --health: per-run observability output.
-    trace::MetricsSeries metrics;
-    std::shared_ptr<trace::Tracer> tracer;
-    trace::HealthReport health;
+    bench::ObsCapture capture; ///< --metrics/--trace/--health, lane pid
 };
 
 /**
@@ -52,7 +47,7 @@ struct Result
  */
 Result
 runWithBackground(double injectionRate, std::uint64_t seed,
-                  const bench::ObsOptions &obs)
+                  const bench::ObsOptions &obs, std::uint32_t pid)
 {
     // Registry/tracer outlive the queue: samplers and span-close
     // callbacks read unit state until the last event dies.
@@ -185,18 +180,14 @@ runWithBackground(double injectionRate, std::uint64_t seed,
     for (auto &u : units)
         total += u->has();
     out.conserved = total == 72;
-    if (obs.metrics)
-        out.metrics = reg.takeSeries();
-    if (obs.trace)
-        out.tracer = std::move(tracer);
+    out.capture.keep(reg, std::move(tracer), pid);
     if (obs.health) {
-        out.health.bumpDet("units",
-                           static_cast<double>(units.size()));
-        out.health.bumpDet("coin.total", static_cast<double>(total));
-        out.health.bumpDet("coin.negative_transients",
-                           static_cast<double>(negatives));
-        out.health.bumpDet("coin.conserved",
-                           out.conserved ? 1.0 : 0.0);
+        trace::HealthReport &health = out.capture.health;
+        health.bumpDet("units", static_cast<double>(units.size()));
+        health.bumpDet("coin.total", static_cast<double>(total));
+        health.bumpDet("coin.negative_transients",
+                       static_cast<double>(negatives));
+        health.bumpDet("coin.conserved", out.conserved ? 1.0 : 0.0);
         std::uint64_t initiated = 0;
         std::uint64_t moved = 0;
         std::uint64_t timedOut = 0;
@@ -205,19 +196,17 @@ runWithBackground(double injectionRate, std::uint64_t seed,
             moved += u->exchangesMoved();
             timedOut += u->exchangesTimedOut();
         }
-        out.health.bumpDet("exchanges.initiated",
-                           static_cast<double>(initiated));
-        out.health.bumpDet("exchanges.moved",
-                           static_cast<double>(moved));
-        out.health.bumpDet("exchanges.timed_out",
-                           static_cast<double>(timedOut));
-        out.health.bumpDet("noc.sent",
-                           static_cast<double>(net.packetsSent()));
-        out.health.bumpDet("noc.delivered",
-                           static_cast<double>(net.packetsDelivered()));
-        out.health.bumpDet("noc.dropped",
-                           static_cast<double>(net.packetsDropped()));
-        trace::fillQueueHealth(out.health, eq);
+        health.bumpDet("exchanges.initiated",
+                       static_cast<double>(initiated));
+        health.bumpDet("exchanges.moved", static_cast<double>(moved));
+        health.bumpDet("exchanges.timed_out",
+                       static_cast<double>(timedOut));
+        health.bumpDet("noc.sent", static_cast<double>(net.packetsSent()));
+        health.bumpDet("noc.delivered",
+                       static_cast<double>(net.packetsDelivered()));
+        health.bumpDet("noc.dropped",
+                       static_cast<double>(net.packetsDropped()));
+        trace::fillQueueHealth(health, eq);
     }
     return out;
 }
@@ -227,25 +216,9 @@ runWithBackground(double injectionRate, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession session(argc, argv, "bench_noc_contention");
     bench::banner("NoC contention (extension)",
                   "coin exchange vs background service-plane traffic");
-
-    trace::Tracer master;
-    trace::MetricsSeries metricsAll;
-    trace::HealthReport healthAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_noc_contention");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
 
     std::printf("\n%12s | %12s | %12s | %s\n", "inject rate",
                 "settle (us)", "neg. events", "conserved");
@@ -255,15 +228,12 @@ main(int argc, char **argv)
         std::uint64_t negatives = 0;
         bool conserved = true;
         for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            Result r = runWithBackground(rate, seed, obs);
+            Result r =
+                runWithBackground(rate, seed, session.options(), pid);
             settle.add(r.settleUs);
             negatives += r.negatives;
             conserved = conserved && r.conserved;
-            if (!r.metrics.empty())
-                metricsAll.merge(r.metrics);
-            if (r.tracer)
-                master.absorb(*r.tracer, pid);
-            healthAll.absorb(r.health);
+            session.absorb(r.capture); // one metrics CSV for the whole run
             ++pid;
         }
         std::printf("%12.2f | %12.3f | %12llu | %s\n", rate,
@@ -271,16 +241,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(negatives),
                     conserved ? "yes" : "NO");
     }
-    if (obs.metrics && !metricsAll.empty())
-        bench::writeMetricsCsv(metricsAll, obs.metricsPath);
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    session.finish();
     std::printf("\nShape check: settle time degrades gracefully with "
                 "congestion; negative transients (absorbed by the "
                 "hardware sign bit) appear under load; coins are "

@@ -20,9 +20,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep/sweep.hpp"
+#include "trace/flush_guard.hpp"
 #include "trace/health.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
@@ -137,6 +141,137 @@ fillSweepHealth(trace::HealthReport &report,
     report.bumpWall("sweep.busy_s", stats.busySeconds());
     report.setWall("sweep.utilization", stats.utilization());
 }
+
+/**
+ * What one replication observed: its metrics series, its trace as a
+ * (pid, tracer) lane, and its health counters. merge() folds captures
+ * in call order, so a sweep folding them in replication order yields
+ * the same CSV bytes and lanes at any thread count.
+ */
+struct ObsCapture
+{
+    trace::MetricsSeries metrics;
+    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
+        tracers;
+    trace::HealthReport health;
+
+    /** Keep @p reg's series and @p tracer (if any) as lane @p pid. */
+    void
+    keep(trace::Registry &reg, std::shared_ptr<trace::Tracer> tracer,
+         std::uint32_t pid)
+    {
+        metrics = reg.takeSeries();
+        if (tracer)
+            tracers.emplace_back(pid, std::move(tracer));
+    }
+
+    void
+    merge(ObsCapture &&o)
+    {
+        if (!o.metrics.empty())
+            metrics.merge(o.metrics);
+        for (auto &t : o.tracers)
+            tracers.push_back(std::move(t));
+        health.absorb(o.health);
+    }
+};
+
+/**
+ * One bench run's observability outputs: the master trace, the run's
+ * HealthReport and sweep-pool totals, and the crash-flush guards that
+ * keep both valid on disk if the run dies. Nothing is written until
+ * finish(), which the bench calls where the files belong in its
+ * stdout; without the flags the session prints nothing.
+ */
+class ObsSession
+{
+  public:
+    /** Parse the flags; @p run names the health report. */
+    ObsSession(int argc, char **argv, const char *run)
+        : opts_(parseObsFlags(argc, argv))
+    {
+        if (opts_.any())
+            trace::FlushGuard::installSignalHandlers();
+        if (opts_.trace)
+            traceFlush_ =
+                trace::FlushGuard::guardTracer(master_, opts_.tracePath);
+        if (opts_.health) {
+            health_.setRun(run);
+            healthFlush_ =
+                trace::FlushGuard::guardHealth(health_, opts_.healthPath);
+        }
+    }
+
+    ObsSession(const ObsSession &) = delete;
+    ObsSession &operator=(const ObsSession &) = delete;
+
+    const ObsOptions &options() const { return opts_; }
+
+    /**
+     * Pool-stats sink for the next sweep (SweepOptions::stats), or
+     * nullptr without --health. The next absorb() adds it to the run.
+     */
+    sweep::PoolStats *
+    sweepStats()
+    {
+        if (!opts_.health)
+            return nullptr;
+        swept_ = true;
+        return &lastSweep_;
+    }
+
+    /**
+     * Fold a capture into the run. Its metrics go to a CSV at the
+     * metrics path tagged @p tag, or, with no tag, into the one
+     * untagged CSV finish() writes.
+     */
+    void
+    absorb(ObsCapture &cap, const char *tag = nullptr)
+    {
+        if (opts_.metrics && !cap.metrics.empty()) {
+            if (tag)
+                writeMetricsCsv(cap.metrics,
+                                tagPath(opts_.metricsPath, tag));
+            else
+                metrics_.merge(cap.metrics);
+        }
+        for (const auto &[pid, t] : cap.tracers)
+            master_.absorb(*t, pid);
+        health_.absorb(cap.health);
+        pool_.merge(lastSweep_);
+        lastSweep_ = sweep::PoolStats{};
+    }
+
+    /** Write the untagged metrics CSV, trace.json and health.json. */
+    void
+    finish()
+    {
+        if (!metrics_.empty())
+            writeMetricsCsv(metrics_, opts_.metricsPath);
+        if (opts_.trace) {
+            traceFlush_.release();
+            writeTraceJson(master_, opts_.tracePath);
+        }
+        if (opts_.health) {
+            healthFlush_.release();
+            if (swept_)
+                fillSweepHealth(health_, pool_);
+            writeHealthJson(health_, opts_.healthPath);
+        }
+    }
+
+  private:
+    ObsOptions opts_;
+    trace::MetricsSeries metrics_;
+    trace::Tracer master_;
+    trace::HealthReport health_;
+    sweep::PoolStats pool_;
+    sweep::PoolStats lastSweep_;
+    bool swept_ = false;
+    // Declared last so they unregister before what they flush dies.
+    trace::FlushGuard::Registration traceFlush_;
+    trace::FlushGuard::Registration healthFlush_;
+};
 
 } // namespace blitz::bench
 

@@ -38,7 +38,6 @@
 #include "soc/soc.hpp"
 #include "soc/throttler.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 
@@ -55,14 +54,7 @@ struct Row
     sim::Summary railPeakMa; ///< peak current on the shared rail
     int failures = 0;        ///< trials missing completion
     int leaks = 0;           ///< coin-conservation violations
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture capture; ///< --metrics/--trace/--health
 
     void
     merge(Row &&o)
@@ -73,11 +65,7 @@ struct Row
         railPeakMa.merge(o.railPeakMa);
         failures += o.failures;
         leaks += o.leaks;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        capture.merge(std::move(o.capture));
     }
 };
 
@@ -116,26 +104,24 @@ runTrial(const soc::PhysicsConfig &phys, std::uint64_t seed,
     auto &bc = dynamic_cast<soc::BlitzCoinPm &>(s.pm());
     if (bc.clusterCoins() != bc.scale().poolCoins)
         ++r.leaks;
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
+    r.capture.keep(reg, std::move(tracer), pid);
     if (obs.health)
-        s.fillHealth(r.health);
+        s.fillHealth(r.capture.health);
     return r;
 }
 
 Row
 runScenario(const soc::PhysicsConfig &phys, int trials,
-            std::uint64_t rootSeed, const bench::ObsOptions &obs,
-            std::uint32_t pidBase, sweep::PoolStats *stats)
+            std::uint64_t rootSeed, bench::ObsSession &session,
+            std::uint32_t pidBase)
 {
+    const bench::ObsOptions &obs = session.options();
     Row acc0;
     acc0.execUs.reserve(static_cast<std::size_t>(trials));
     if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
+        acc0.capture.tracers.reserve(static_cast<std::size_t>(trials));
     sweep::SweepOptions opts;
-    opts.stats = stats;
+    opts.stats = session.sweepStats();
     return sweep::runSweepFold<Row>(
         static_cast<std::size_t>(trials), rootSeed,
         [&phys, &obs, pidBase](std::size_t i, std::uint64_t seed) {
@@ -189,7 +175,7 @@ printRow(const char *kind, double param, bool enforce, Row &row)
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession session(argc, argv, "bench_thermal");
     bench::banner("Physics sweep",
                   "thermal-emergency and brownout response, throttler "
                   "enforced vs observed");
@@ -203,49 +189,19 @@ main(int argc, char **argv)
     // One trace / health file for the whole run; metrics CSVs are
     // per scenario (the snapshot schema is shared here, but keeping
     // the bench_chaos convention makes the files self-describing).
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_thermal");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
-
     std::uint64_t scenarioIdx = 0;
-    auto finishRow = [&](const char *kind, Row &row) {
-        if (obs.metrics && !row.metrics.empty()) {
-            char tag[48];
-            std::snprintf(tag, sizeof tag, "s%02u-%s",
-                          static_cast<unsigned>(scenarioIdx), kind);
-            bench::writeMetricsCsv(row.metrics,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
-        for (const auto &[pid, t] : row.tracers)
-            if (t)
-                master.absorb(*t, pid);
-        healthAll.absorb(row.health);
-    };
     auto runOne = [&](const char *kind, double param, bool enforce,
                       const soc::PhysicsConfig &phys) {
         const auto pidBase = static_cast<std::uint32_t>(scenarioIdx) *
                              static_cast<std::uint32_t>(trials);
-        sweep::PoolStats pool;
         Row row = runScenario(phys, trials,
                               sweep::streamSeed(rootSeed, scenarioIdx),
-                              obs, pidBase,
-                              obs.health ? &pool : nullptr);
-        if (obs.health)
-            poolAll.merge(pool);
+                              session, pidBase);
         printRow(kind, param, enforce, row);
-        finishRow(kind, row);
+        char tag[48];
+        std::snprintf(tag, sizeof tag, "s%02u-%s",
+                      static_cast<unsigned>(scenarioIdx), kind);
+        session.absorb(row.capture, tag);
         ++scenarioIdx;
     };
     for (double tripC : {48.0, 50.0, 52.0})
@@ -256,15 +212,7 @@ main(int argc, char **argv)
         for (bool enforce : {false, true})
             runOne("brownout", limitMa, enforce,
                    brownout(limitMa, enforce));
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    session.finish();
     std::printf("\nObserve rows integrate the same physics without "
                 "actuating, so their peak C column is the uncontrolled "
                 "overshoot; enforce rows hold the peak near the trip "

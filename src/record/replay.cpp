@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "fault/chaos.hpp"
 #include "fault/fault_plane.hpp"
@@ -33,6 +34,32 @@ unpackDouble(std::uint64_t u)
 {
     double v = 0.0;
     std::memcpy(&v, &u, sizeof v);
+    return v;
+}
+
+/** Header word @p v as a count in [1, 2^32 - 1]. */
+std::uint32_t
+unpackCount(std::uint64_t v, const char *field)
+{
+    if (v == 0 || v > std::numeric_limits<std::uint32_t>::max())
+        throw HeaderError("log header: " + std::string(field) + " " +
+                          std::to_string(v) +
+                          " is not in [1, 2^32 - 1]");
+    return static_cast<std::uint32_t>(v);
+}
+
+/** Header word @p u as a rate in [0, 1] (NaN and infinities fail). */
+double
+unpackRate(std::uint64_t u, const char *field)
+{
+    const double v = unpackDouble(u);
+    if (!(v >= 0.0 && v <= 1.0)) {
+        char buf[96];
+        std::snprintf(buf, sizeof buf,
+                      "log header: %s rate %g is not in [0, 1]", field,
+                      v);
+        throw HeaderError(buf);
+    }
     return v;
 }
 
@@ -133,14 +160,14 @@ ReplayScenario
 ReplayScenario::unpack(const LogHeader &h)
 {
     ReplayScenario sc;
-    sc.d = static_cast<std::uint32_t>(h[0]);
-    sc.drop = unpackDouble(h[1]);
-    sc.duplicate = unpackDouble(h[2]);
-    sc.corrupt = unpackDouble(h[3]);
+    sc.d = unpackCount(h[0], "mesh dimension");
+    sc.drop = unpackRate(h[1], "drop");
+    sc.duplicate = unpackRate(h[2], "duplicate");
+    sc.corrupt = unpackRate(h[3], "corrupt");
     sc.crash = (h[4] & 1u) != 0;
     sc.partition = (h[4] & 2u) != 0;
     sc.seed = h[5];
-    sc.trials = static_cast<std::uint32_t>(h[6]);
+    sc.trials = unpackCount(h[6], "trial count");
     sc.deadline = h[7];
     sc.snapshotEvery = h[8];
     return sc;

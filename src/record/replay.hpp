@@ -27,6 +27,7 @@
 #define BLITZ_RECORD_REPLAY_HPP
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "provenance.hpp"
@@ -35,6 +36,16 @@
 #include "sweep/sweep.hpp"
 
 namespace blitz::record {
+
+/**
+ * A log header field outside its domain: a .blzr file that is damaged
+ * or was not written by ReplayScenario::pack.
+ */
+class HeaderError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * The parameter tuple that fully determines a recorded chaos
@@ -56,6 +67,14 @@ struct ReplayScenario
     sim::Tick snapshotEvery = 2'048; ///< 0 disables snapshot epochs
 
     LogHeader pack() const;
+
+    /**
+     * Decode a header, rejecting what pack() never writes: a mesh
+     * dimension or trial count that is 0 or does not fit in 32 bits,
+     * and a drop/duplicate/corrupt rate that is not a finite
+     * probability. snapshotEvery = 0 is valid (no epochs).
+     * @throws HeaderError naming the first bad field.
+     */
     static ReplayScenario unpack(const LogHeader &h);
 
     std::string describe() const;

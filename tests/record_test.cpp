@@ -1,19 +1,23 @@
 /**
  * @file
  * Unit tests of the flight-recorder core (chunked append, ring
- * recycling, lane absorption, lockstep checking, file round-trip) and
- * of the per-coin provenance ledger (lineage threading through mint,
- * transfer, crash, burn, and remint, plus the causal gap report).
+ * recycling, lane absorption, lockstep checking, file round-trip), of
+ * the log header's domain checks, and of the per-coin provenance
+ * ledger (lineage threading through mint, transfer, crash, burn, and
+ * remint, plus the causal gap report).
  */
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "record/provenance.hpp"
 #include "record/recorder.hpp"
+#include "record/replay.hpp"
 
 namespace {
 
@@ -167,6 +171,105 @@ TEST(FlightRecorder, FileRoundTripPreservesStreamAndHeader)
     std::remove(path.c_str());
     FlightRecorder missing;
     EXPECT_FALSE(FlightRecorder::readFile(path, missing, nullptr));
+}
+
+// --------------------------------------------------------- log header
+
+/** A valid scenario's header with word @p word replaced by @p value. */
+record::LogHeader
+headerWith(std::size_t word, std::uint64_t value)
+{
+    record::LogHeader h = record::ReplayScenario{}.pack();
+    h[word] = value;
+    return h;
+}
+
+/** A valid header with rate word @p word set to @p rate. */
+record::LogHeader
+headerWithRate(std::size_t word, double rate)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &rate, sizeof bits);
+    return headerWith(word, bits);
+}
+
+TEST(LogHeader, RoundTripsAValidScenario)
+{
+    record::ReplayScenario sc;
+    sc.d = 6;
+    sc.drop = 0.05;
+    sc.duplicate = 1.0;
+    sc.trials = std::numeric_limits<std::uint32_t>::max();
+    sc.snapshotEvery = 0; // no snapshot epochs: still valid
+    const auto got = record::ReplayScenario::unpack(sc.pack());
+    EXPECT_EQ(got.d, 6u);
+    EXPECT_EQ(got.drop, 0.05);
+    EXPECT_EQ(got.duplicate, 1.0);
+    EXPECT_EQ(got.trials, sc.trials);
+    EXPECT_EQ(got.snapshotEvery, 0u);
+}
+
+TEST(LogHeader, RejectsMeshDimensionZeroOrPast32Bits)
+{
+    using record::HeaderError;
+    using record::ReplayScenario;
+    EXPECT_THROW(ReplayScenario::unpack(headerWith(0, 0)), HeaderError);
+    // 2^40 used to truncate to 0 through the uint32 cast.
+    EXPECT_THROW(ReplayScenario::unpack(headerWith(0, 1ull << 40)),
+                 HeaderError);
+    EXPECT_THROW(ReplayScenario::unpack(headerWith(0, 1ull << 32)),
+                 HeaderError);
+    EXPECT_EQ(ReplayScenario::unpack(headerWith(0, 0xffffffffull)).d,
+              0xffffffffu);
+}
+
+TEST(LogHeader, RejectsRatesThatAreNotFiniteProbabilities)
+{
+    using record::HeaderError;
+    using record::ReplayScenario;
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          -0.01, 1.01};
+    // Words 1, 2, 3: drop, duplicate, corrupt.
+    for (std::size_t word = 1; word <= 3; ++word) {
+        for (double rate : bad)
+            EXPECT_THROW(ReplayScenario::unpack(headerWithRate(word, rate)),
+                         HeaderError)
+                << "word " << word << " rate " << rate;
+        EXPECT_NO_THROW(ReplayScenario::unpack(headerWithRate(word, 0.0)));
+        EXPECT_NO_THROW(ReplayScenario::unpack(headerWithRate(word, 1.0)));
+    }
+}
+
+TEST(LogHeader, RejectsTrialCountZeroOrPast32Bits)
+{
+    using record::HeaderError;
+    using record::ReplayScenario;
+    EXPECT_THROW(ReplayScenario::unpack(headerWith(6, 0)), HeaderError);
+    EXPECT_THROW(ReplayScenario::unpack(headerWith(6, 1ull << 40)),
+                 HeaderError);
+    EXPECT_EQ(ReplayScenario::unpack(headerWith(6, 3)).trials, 3u);
+}
+
+TEST(LogHeader, ErrorNamesTheField)
+{
+    try {
+        record::ReplayScenario::unpack(headerWith(0, 0));
+        FAIL() << "mesh dimension 0 accepted";
+    } catch (const record::HeaderError &e) {
+        EXPECT_NE(std::string(e.what()).find("mesh dimension"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        record::ReplayScenario::unpack(headerWithRate(3, -1.0));
+        FAIL() << "corrupt rate -1 accepted";
+    } catch (const record::HeaderError &e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------- provenance

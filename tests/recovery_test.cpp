@@ -516,6 +516,39 @@ replyFlag(const noc::Packet &p)
     return blitzcoin::wire::tagFlag(p.payload[3]);
 }
 
+TEST(Recovery, AuditCensusSkipsCrashedAndQuarantinedUnits)
+{
+    // The census reads the unit registers directly. Unit 1 crashes,
+    // unit 6 is quarantined, and unit 11 is quarantined and then
+    // crashes: quarantine is sticky and dominates the later crash.
+    LossyCluster c(4, 0.05);
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        c.unit(i).setMax(16);
+        c.unit(i).setHas(8);
+    }
+    c.c.sealProvision();
+    c.startAll();
+    c.eq().runUntil(4096);
+    c.unit(1).crash();
+    c.unit(6).quarantine();
+    c.unit(11).quarantine();
+    c.unit(11).crash();
+    c.eq().runUntil(8192);
+
+    coin::Coins alive = 0;
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        const auto &u = c.unit(i);
+        if (!u.crashed() && !u.quarantined())
+            alive += u.has();
+    }
+    const blitzcoin::AuditReport r = c.c.audit().audit();
+    EXPECT_EQ(r.counted, alive);
+    EXPECT_EQ(r.crashedUnits, 1u);
+    EXPECT_EQ(r.quarantinedUnits, 2u);
+    EXPECT_EQ(r.expected, 16 * 8);
+    EXPECT_EQ(r.gap, r.expected - alive);
+}
+
 TEST(Recovery, ServedLogKeepsTheLastEightOutcomesPerInitiator)
 {
     // Pins the partner's served-exchange horizon: the last 8 outcomes

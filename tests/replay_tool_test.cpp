@@ -6,11 +6,13 @@
  * and prove `bisect` exits 1 and names the exact divergent record.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -121,6 +123,43 @@ TEST(ReplayTool, UsageAndIoErrorsExitTwo)
                       &out),
               2)
         << out;
+}
+
+/** Overwrite header word @p word of the .blzr at @p path. */
+void
+patchHeaderWord(const std::string &path, int word, std::uint64_t value)
+{
+    // Layout: 4-byte magic, 4-byte version, then 16 header words.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    f.seekp(8 + 8 * word);
+    f.write(reinterpret_cast<const char *>(&value), sizeof value);
+    ASSERT_TRUE(f.good());
+}
+
+TEST(ReplayTool, OutOfDomainHeaderExitsTwo)
+{
+    const std::string log = testing::TempDir() + "tool_bad_header.blzr";
+    std::string out;
+    // Mesh dimension 0 and 2^40 (which a uint32 cast truncates to 0),
+    // then a zero trial count: every command that reads the scenario
+    // reports the bad field and exits 2 instead of aborting.
+    const std::pair<int, std::uint64_t> bad[] = {
+        {0, 0}, {0, 1ull << 40}, {6, 0}};
+    for (const auto &[word, value] : bad) {
+        ASSERT_EQ(runTool("record " + log + " --d 3 --trials 1", &out),
+                  0)
+            << out;
+        patchHeaderWord(log, word, value);
+        EXPECT_EQ(runTool("verify " + log, &out), 2) << out;
+        EXPECT_NE(out.find("log header"), std::string::npos) << out;
+        EXPECT_EQ(runTool("info " + log, &out), 2) << out;
+        EXPECT_NE(out.find("log header"), std::string::npos) << out;
+    }
+    // The record flags get the same checks.
+    EXPECT_EQ(runTool("record " + log + " --d 0", &out), 2) << out;
+    EXPECT_EQ(runTool("record " + log + " --drop 1.5", &out), 2) << out;
+    std::remove(log.c_str());
 }
 
 } // namespace

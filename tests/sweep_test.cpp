@@ -9,12 +9,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_obs.hpp"
 #include "coin/engine.hpp"
 #include "sim/stats.hpp"
 #include "sweep/sweep.hpp"
@@ -157,6 +160,68 @@ TEST(RunSweep, FoldRunsSeriallyInIndexOrder)
     ASSERT_EQ(order.size(), 32u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
+}
+
+/**
+ * One replication's observability capture: a seed-dependent gauge
+ * sampled at three ticks (the same ticks in every replication, which
+ * MetricsSeries::merge sums column-wise), a trace lane, and a health
+ * counter.
+ */
+bench::ObsCapture
+captureReplication(std::size_t i, std::uint64_t seed)
+{
+    trace::Registry reg;
+    double value = 0.0;
+    reg.sampled("value", [&value] { return value; });
+    auto tracer = std::make_shared<trace::Tracer>();
+    for (sim::Tick t = 1; t <= 3; ++t) {
+        value = static_cast<double>(seed % 1000) / 7.0 +
+                static_cast<double>(t);
+        reg.sample(t * 100);
+        tracer->instant("test", "sample", 0, t * 100 + i,
+                        {{"i", static_cast<std::int64_t>(i)}});
+    }
+    bench::ObsCapture cap;
+    cap.keep(reg, std::move(tracer), static_cast<std::uint32_t>(i));
+    cap.health.bumpDet("samples", 3.0);
+    return cap;
+}
+
+/** Fold 16 captures at @p threads; the merged CSV and each lane. */
+std::pair<std::string, std::vector<std::string>>
+foldCapturesAt(std::size_t threads)
+{
+    sweep::SweepOptions opts;
+    opts.threads = threads;
+    bench::ObsCapture all = sweep::runSweepFold<bench::ObsCapture>(
+        16, 99, captureReplication,
+        [](bench::ObsCapture &acc, bench::ObsCapture &c, std::size_t) {
+            acc.merge(std::move(c));
+        },
+        bench::ObsCapture{}, opts);
+    std::ostringstream csv;
+    all.metrics.writeCsv(csv);
+    std::vector<std::string> lanes;
+    for (const auto &[pid, t] : all.tracers) {
+        std::ostringstream json;
+        t->writeJson(json);
+        lanes.push_back(std::to_string(pid) + ":" + json.str());
+    }
+    EXPECT_EQ(all.metrics.snapshots().size(), 3u);
+    EXPECT_DOUBLE_EQ(*all.health.findDet("samples"), 16.0 * 3.0);
+    return {csv.str(), lanes};
+}
+
+TEST(RunSweep, ObsCaptureFoldIsIdenticalAtAnyThreadCount)
+{
+    const auto serial = foldCapturesAt(1);
+    const auto pooled = foldCapturesAt(4);
+    EXPECT_EQ(serial.first, pooled.first); // CSV bytes
+    EXPECT_EQ(serial.second, pooled.second); // lanes, in pid order
+    ASSERT_EQ(serial.second.size(), 16u);
+    for (std::size_t i = 0; i < serial.second.size(); ++i)
+        EXPECT_EQ(serial.second[i].rfind(std::to_string(i) + ":", 0), 0u);
 }
 
 TEST(DefaultThreads, HonorsEnvironmentOverride)

@@ -17,7 +17,8 @@
  * its causal context.
  *
  * Exit codes: 0 = ok / identical / lockstep match; 1 = divergence
- * found; 2 = usage or I/O error.
+ * found; 2 = usage or I/O error, or a log header (or record scenario)
+ * outside its domain.
  */
 
 #include <cstdio>
@@ -125,6 +126,8 @@ cmdRecord(int argc, char **argv)
             return usage();
     }
 
+    // The flags get the same domain checks as a loaded header.
+    sc = record::ReplayScenario::unpack(sc.pack());
     record::FlightRecorder rec = record::recordScenario(sc, opts);
     if (tamper >= 0) {
         if (!record::tamperRecord(
@@ -270,16 +273,9 @@ cmdBisect(int argc, char **argv)
     return 1;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+dispatch(const char *cmd, int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const char *cmd = argv[1];
-    argc -= 2;
-    argv += 2;
     if (std::strcmp(cmd, "record") == 0)
         return cmdRecord(argc, argv);
     if (std::strcmp(cmd, "info") == 0)
@@ -292,4 +288,19 @@ main(int argc, char **argv)
         std::strcmp(cmd, "--bisect") == 0)
         return cmdBisect(argc, argv);
     return usage();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    if (argc < 2)
+        return usage();
+    try {
+        return dispatch(argv[1], argc - 2, argv + 2);
+    } catch (const record::HeaderError &e) {
+        std::fprintf(stderr, "blitz-replay: %s\n", e.what());
+        return 2;
+    }
 }
