@@ -2,58 +2,38 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <istream>
 #include <iterator>
-#include <ostream>
+
+#include "export_writer.hpp"
 
 namespace blitz::trace {
 
 namespace {
 
-void
-printEscaped(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 /**
- * Print a value so the deterministic section is byte-stable: counters
- * (the common case) as plain integers, everything else with enough
- * digits (%.17g) to round-trip the double exactly.
+ * Deterministic section values print byte-stable: counters (the common
+ * case) as plain integers, everything else with enough digits (%.17g)
+ * to round-trip the double exactly.
  */
 void
-printValue(std::ostream &os, double v)
-{
-    char buf[40];
-    if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15)
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-}
-
-void
-printSection(std::ostream &os, const char *name,
+printSection(ExportWriter &w, const char *name,
              const std::vector<HealthReport::Entry> &entries)
 {
-    os << '"' << name << "\":{";
+    w.put('"').put(name).put("\":{");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         if (i)
-            os << ',';
-        printEscaped(os, entries[i].first);
-        os << ':';
-        printValue(os, entries[i].second);
+            w.put(',');
+        w.quoted(entries[i].first).put(':');
+        const double v = entries[i].second;
+        if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15)
+            w.i64(static_cast<std::int64_t>(v));
+        else
+            w.general(v, 17);
     }
-    os << '}';
+    w.put('}');
 }
 
 /** Minimal scanner over the writeJson() document shape. */
@@ -244,13 +224,12 @@ HealthReport::clear()
 void
 HealthReport::writeJson(std::ostream &os) const
 {
-    os << "{\"blitzHealth\":1,\"run\":";
-    printEscaped(os, run_);
-    os << ',';
-    printSection(os, "deterministic", det_);
-    os << ',';
-    printSection(os, "wallclock", wall_);
-    os << "}\n";
+    ExportWriter w(os);
+    w.put("{\"blitzHealth\":1,\"run\":").quoted(run_).put(',');
+    printSection(w, "deterministic", det_);
+    w.put(',');
+    printSection(w, "wallclock", wall_);
+    w.put("}\n");
 }
 
 bool

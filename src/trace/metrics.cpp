@@ -1,45 +1,59 @@
 #include "metrics.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <ostream>
-
+#include "export_writer.hpp"
 #include "sim/logging.hpp"
 
 namespace blitz::trace {
 
 namespace {
 
-/**
- * Shortest round-trip-exact rendering of a double. Metric values are
- * exact simulator state (counters widened to double, tick-derived
- * gauges), so %.17g would print noise digits; try increasing precision
- * until the text parses back bit-identically.
- */
+// The series writers take the parts rather than a MetricsSeries so the
+// Registry can export its live series without copying it.
+
 void
-printDouble(std::ostream &os, double v)
+writeSeriesCsv(ExportWriter &w, const std::vector<MetricDesc> &schema,
+               const std::vector<Snapshot> &rows,
+               const std::vector<std::uint32_t> &cov)
 {
-    char buf[40];
-    for (int prec = 6; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(buf, "%lf", &back);
-        if (back == v)
-            break;
+    w.put("tick,cov");
+    for (const MetricDesc &d : schema)
+        w.put(',').put(d.name);
+    w.put('\n');
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        w.u64(rows[r].tick).put(',').u64(cov[r]);
+        for (double v : rows[r].values)
+            w.put(',').roundTrip(v);
+        w.put('\n');
     }
-    os << buf;
 }
 
 void
-printJsonString(std::ostream &os, const std::string &s)
+writeSeriesJson(ExportWriter &w, const std::vector<MetricDesc> &schema,
+                const std::vector<Snapshot> &rows,
+                const std::vector<std::uint32_t> &cov)
 {
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
+    w.put("{\"schema\":[");
+    for (std::size_t i = 0; i < schema.size(); ++i) {
+        if (i)
+            w.put(',');
+        w.put("{\"name\":").quoted(schema[i].name);
+        w.put(",\"kind\":\"").put(metricKindName(schema[i].kind));
+        w.put("\"}");
     }
-    os << '"';
+    w.put("],\"snapshots\":[");
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (r)
+            w.put(',');
+        w.put("{\"tick\":").u64(rows[r].tick);
+        w.put(",\"cov\":").u64(cov[r]).put(",\"values\":[");
+        for (std::size_t c = 0; c < rows[r].values.size(); ++c) {
+            if (c)
+                w.put(',');
+            w.roundTrip(rows[r].values[c]);
+        }
+        w.put("]}");
+    }
+    w.put("]}");
 }
 
 } // namespace
@@ -156,42 +170,47 @@ Registry::takeSeries()
     return out;
 }
 
+const std::vector<MetricDesc> &
+Registry::exportSchema() const
+{
+    // No rows yet: still export the schema.
+    return series_.schema_.empty() ? schema_ : series_.schema_;
+}
+
 void
 Registry::writeCsv(std::ostream &os) const
 {
-    series().writeCsv(os);
+    ExportWriter w(os);
+    writeSeriesCsv(w, exportSchema(), series_.rows_, series_.cov_);
 }
 
 void
 Registry::writeJson(std::ostream &os) const
 {
-    // The series body, minus its closing brace, then the histograms.
-    os << "{\"series\":";
-    series().writeJson(os);
-    os << ",\"histograms\":{";
+    ExportWriter w(os);
+    w.put("{\"series\":");
+    writeSeriesJson(w, exportSchema(), series_.rows_, series_.cov_);
+    w.put(",\"histograms\":{");
     bool first = true;
     for (std::size_t i = 0; i < schema_.size(); ++i) {
         if (schema_[i].kind != MetricKind::Histogram)
             continue;
         if (!first)
-            os << ',';
+            w.put(',');
         first = false;
         const sim::Histogram &h = histSlots_[slotOf_[i]];
-        printJsonString(os, schema_[i].name);
-        os << ":{\"underflow\":" << h.underflow()
-           << ",\"overflow\":" << h.overflow() << ",\"bins\":[";
+        w.quoted(schema_[i].name).put(":{\"underflow\":").u64(h.underflow());
+        w.put(",\"overflow\":").u64(h.overflow()).put(",\"bins\":[");
         for (std::size_t b = 0; b < h.bins(); ++b) {
             if (b)
-                os << ',';
-            os << "{\"lo\":";
-            printDouble(os, h.binLow(b));
-            os << ",\"hi\":";
-            printDouble(os, h.binHigh(b));
-            os << ",\"count\":" << h.binCount(b) << '}';
+                w.put(',');
+            w.put("{\"lo\":").roundTrip(h.binLow(b));
+            w.put(",\"hi\":").roundTrip(h.binHigh(b));
+            w.put(",\"count\":").u64(h.binCount(b)).put('}');
         }
-        os << "]}";
+        w.put("]}");
     }
-    os << "}}";
+    w.put("}}");
 }
 
 void
@@ -229,46 +248,15 @@ MetricsSeries::merge(const MetricsSeries &other)
 void
 MetricsSeries::writeCsv(std::ostream &os) const
 {
-    os << "tick,cov";
-    for (const MetricDesc &d : schema_)
-        os << ',' << d.name;
-    os << '\n';
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        os << rows_[r].tick << ',' << cov_[r];
-        for (double v : rows_[r].values) {
-            os << ',';
-            printDouble(os, v);
-        }
-        os << '\n';
-    }
+    ExportWriter w(os);
+    writeSeriesCsv(w, schema_, rows_, cov_);
 }
 
 void
 MetricsSeries::writeJson(std::ostream &os) const
 {
-    os << "{\"schema\":[";
-    for (std::size_t i = 0; i < schema_.size(); ++i) {
-        if (i)
-            os << ',';
-        os << "{\"name\":";
-        printJsonString(os, schema_[i].name);
-        os << ",\"kind\":\"" << metricKindName(schema_[i].kind)
-           << "\"}";
-    }
-    os << "],\"snapshots\":[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (r)
-            os << ',';
-        os << "{\"tick\":" << rows_[r].tick << ",\"cov\":" << cov_[r]
-           << ",\"values\":[";
-        for (std::size_t c = 0; c < rows_[r].values.size(); ++c) {
-            if (c)
-                os << ',';
-            printDouble(os, rows_[r].values[c]);
-        }
-        os << "]}";
-    }
-    os << "]}";
+    ExportWriter w(os);
+    writeSeriesJson(w, schema_, rows_, cov_);
 }
 
 } // namespace blitz::trace

@@ -206,6 +206,8 @@ class Registry
 
   private:
     void addMetric(std::string name, MetricKind kind);
+    /** The series' schema, or the registered one before any row. */
+    const std::vector<MetricDesc> &exportSchema() const;
 
     std::vector<MetricDesc> schema_;
     /** Parallel to schema_: which slot index backs each column. */

@@ -1,8 +1,8 @@
 #include "noc_trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <ostream>
+
+#include "export_writer.hpp"
 
 namespace blitz::trace {
 
@@ -53,13 +53,11 @@ NocTrace::meanLinkUtilization(sim::Tick elapsed) const
 void
 NocTrace::writeLinkCsv(std::ostream &os, sim::Tick elapsed) const
 {
-    os << "link,hops,utilization\n";
+    ExportWriter w(os);
+    w.put("link,hops,utilization\n");
     for (std::size_t i = 0; i < linkHops_.size(); ++i) {
-        os << i << ',' << linkHops_[i] << ',';
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.6g",
-                      linkUtilization(i, elapsed));
-        os << buf << '\n';
+        w.u64(i).put(',').u64(linkHops_[i]).put(',');
+        w.general(linkUtilization(i, elapsed), 6).put('\n');
     }
 }
 

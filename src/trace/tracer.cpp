@@ -1,39 +1,8 @@
 #include "tracer.hpp"
 
-#include <cstdio>
-#include <ostream>
+#include "export_writer.hpp"
 
 namespace blitz::trace {
-
-namespace {
-
-/**
- * Ticks to Chrome's microsecond timebase. Rendered with four decimals:
- * one tick is 1.25 ns = 0.00125 µs, so four decimals round-trip any
- * tick-aligned timestamp below ~2^53 exactly enough for viewers while
- * keeping files compact.
- */
-void
-printTs(std::ostream &os, sim::Tick t)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.4f", sim::ticksToUs(t));
-    os << buf;
-}
-
-void
-printEscaped(std::ostream &os, const char *s)
-{
-    os << '"';
-    for (; *s; ++s) {
-        if (*s == '"' || *s == '\\')
-            os << '\\';
-        os << *s;
-    }
-    os << '"';
-}
-
-} // namespace
 
 void
 Tracer::push(Event e, std::initializer_list<TraceArg> args)
@@ -168,49 +137,47 @@ Tracer::clear()
 void
 Tracer::writeJson(std::ostream &os) const
 {
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+    // Timestamps are Chrome's microseconds at four decimals: one tick
+    // is 1.25 ns = 0.00125 us, close enough for viewers while keeping
+    // files compact.
+    ExportWriter w(os);
+    w.put("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (std::size_t i = 0; i < events_.size(); ++i) {
         const Event &e = events_[i];
         const TrackInfo *track =
             e.track >= 0 ? &tracks_[static_cast<std::size_t>(e.track)]
                          : nullptr;
         if (i)
-            os << ',';
-        os << "{\"ph\":\"" << e.ph << "\",\"cat\":";
-        printEscaped(os, track ? track->cat.c_str() : e.cat);
-        os << ",\"name\":";
-        printEscaped(os, track ? track->name.c_str() : e.name);
-        os << ",\"pid\":" << e.pid
-           << ",\"tid\":" << (track ? track->tid : e.tid) << ",\"ts\":";
-        printTs(os, e.ts);
-        if (e.ph == 'X') {
-            os << ",\"dur\":";
-            printTs(os, e.dur);
-        }
+            w.put(',');
+        w.put("{\"ph\":\"").put(e.ph).put("\",\"cat\":");
+        w.quoted(track ? std::string_view(track->cat) : e.cat);
+        w.put(",\"name\":");
+        w.quoted(track ? std::string_view(track->name) : e.name);
+        w.put(",\"pid\":").u64(e.pid).put(",\"tid\":");
+        w.u64(track ? track->tid : e.tid).put(",\"ts\":");
+        w.fixed(sim::ticksToUs(e.ts), 4);
+        if (e.ph == 'X')
+            w.put(",\"dur\":").fixed(sim::ticksToUs(e.dur), 4);
         if (e.ph == 'i')
-            os << ",\"s\":\"t\"";
+            w.put(",\"s\":\"t\"");
         if (e.ph == 'C') {
-            os << ",\"args\":{\"value\":";
-            char buf[40];
-            std::snprintf(buf, sizeof buf, "%.6g", e.value);
-            os << buf << '}';
+            w.put(",\"args\":{\"value\":").general(e.value, 6).put('}');
         } else if (!e.args.empty()) {
-            os << ",\"args\":{";
+            w.put(",\"args\":{");
             for (std::size_t a = 0; a < e.args.size(); ++a) {
                 if (a)
-                    os << ',';
-                printEscaped(os, e.args[a].key);
-                os << ':';
+                    w.put(',');
+                w.quoted(e.args[a].key).put(':');
                 if (e.args[a].str)
-                    printEscaped(os, e.args[a].str);
+                    w.quoted(e.args[a].str);
                 else
-                    os << e.args[a].num;
+                    w.i64(e.args[a].num);
             }
-            os << '}';
+            w.put('}');
         }
-        os << '}';
+        w.put('}');
     }
-    os << "]}";
+    w.put("]}");
 }
 
 } // namespace blitz::trace

@@ -165,11 +165,6 @@ class Tracer
         std::uint32_t tid;
     };
 
-    bool admit() const
-    {
-        return enabled_ && events_.size() < maxEvents_;
-    }
-
     void push(Event e, std::initializer_list<TraceArg> args);
 
     bool enabled_ = true;

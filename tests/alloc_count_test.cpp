@@ -10,6 +10,11 @@
  * then asserts that continuing the same workload performs *zero*
  * further heap allocations.
  *
+ * The observability exports are held to the same bar: writing a
+ * populated tracer, registry or health report into a stream allocates
+ * nothing, so the writers add no malloc to the FlushGuard's
+ * signal-time flush.
+ *
  * Every replaceable variant is intercepted — including the
  * std::align_val_t forms, which the event slab uses for its node
  * chunks — so a regression cannot hide behind an aligned or nothrow
@@ -20,6 +25,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <streambuf>
 
 #include <gtest/gtest.h>
 
@@ -32,7 +39,11 @@
 #include "sim/event_queue.hpp"
 #include "sim/shard.hpp"
 #include "soc/throttler.hpp"
+#include "trace/health.hpp"
+#include "trace/metrics.hpp"
+#include "trace/noc_trace.hpp"
 #include "trace/prof.hpp"
+#include "trace/tracer.hpp"
 
 namespace {
 
@@ -481,6 +492,74 @@ TEST(AllocCount, BlitzCoinServePathSteadyStateIsAllocationFree)
     // The audited window really serves: ~70k exchanges at this seed.
     EXPECT_GT(served() - servedBefore, 35'000u);
     EXPECT_EQ(c.totalCoins(), 36 * 6);
+}
+
+/** Stream buffer that counts and discards every byte. */
+class DiscardBuf : public std::streambuf
+{
+  public:
+    std::uint64_t bytes = 0;
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        bytes += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        ++bytes;
+        return traits_type::not_eof(c);
+    }
+};
+
+TEST(AllocCount, TraceExportIntoDiscardingStreamIsAllocationFree)
+{
+    // Export writers format into a stack buffer and hand the stream
+    // whole chunks; the registry exports its live series in place.
+    trace::Tracer tracer;
+    auto track = tracer.counterTrack("prof", "prof/shard0.exec_ms", 0);
+    trace::Registry reg;
+    trace::Counter hits = reg.counter("hits");
+    reg.sampled("ratio", [&hits] {
+        return static_cast<double>(hits.value()) / 3.0;
+    });
+    sim::Histogram *lat = reg.histogram("lat \"q\"", 0.0, 1.0, 16);
+    trace::NocTrace probe(reg, /*linkCount=*/8, /*hopLatency=*/2);
+    for (std::uint32_t i = 0; i < 2'000; ++i) {
+        tracer.complete("coin", "exchange", i % 9, 800 * i, 800 * i + 77,
+                        {{"xid", std::int64_t{i}}, {"outcome", "o\\k"}});
+        tracer.instant("fault", "inject_drop", i % 9, 800 * i + 5);
+        tracer.counter("pm", "power_mw", 0, 800 * i, 0.1 * i);
+        tracer.counterSample(track, 800 * i, i / 7.0);
+        hits.add(i);
+        lat->add(0.0007 * i);
+        probe.onHop(i % 8, 10 * i);
+        if (i % 10 == 0)
+            reg.sample(800 * i);
+    }
+    trace::HealthReport health;
+    health.setRun("alloc \"audit\"");
+    health.setDet("coin.gap", 0.0);
+    health.bumpDet("fault.drops", 1234.0);
+    health.maxDet("physics.peak_c", 51.234567890123);
+    health.setWall("phase.run_ns", 1.5e9 / 7.0);
+
+    DiscardBuf sink;
+    std::ostream os(&sink);
+    const std::uint64_t before = gAllocCount.load();
+    tracer.writeJson(os);
+    reg.writeCsv(os);
+    reg.writeJson(os);
+    health.writeJson(os);
+    probe.writeLinkCsv(os, /*elapsed=*/1'600'000);
+    EXPECT_EQ(gAllocCount.load() - before, 0u)
+        << "an observability export allocated";
+    EXPECT_TRUE(os.good());
+    EXPECT_GT(sink.bytes, 500'000u) << "the exports wrote too little";
 }
 
 } // namespace

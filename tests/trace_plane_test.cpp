@@ -2,12 +2,19 @@
  * @file
  * Unit tests of the observability plane itself: registry snapshotting,
  * series merging (the sweep-determinism contract), CSV/JSON export,
- * Chrome-trace emission, the NoC probe, and bit-identical merged
- * metrics across sweep thread counts.
+ * Chrome-trace emission, the NoC probe, bit-identical merged metrics
+ * across sweep thread counts, and the export bytes themselves: the
+ * ExportWriter against the printf formatters it replaced, and digests
+ * of whole exports pinned from before that switch.
  */
 
 #include <cctype>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,10 +22,15 @@
 #include <gtest/gtest.h>
 
 #include "coin/engine.hpp"
+#include "sim/rng.hpp"
+#include "soc/pm_impl.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
+#include "soc/throttler.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
+#include "trace/export_writer.hpp"
+#include "trace/health.hpp"
 #include "trace/metrics.hpp"
 #include "trace/noc_trace.hpp"
 #include "trace/tracer.hpp"
@@ -473,6 +485,443 @@ TEST(Metrics, MergedSweepSeriesBitIdenticalAcrossThreadCounts)
     EXPECT_FALSE(one.empty());
     EXPECT_EQ(one, mergedSweepCsv(2));
     EXPECT_EQ(one, mergedSweepCsv(4));
+}
+
+// ------------------------------------------------ export-bytes pins
+// Every export writer's bytes, pinned: the CSV/JSON/trace/health text
+// of a seeded observed SoC run and of a merged two-lane tracer hashes
+// to a digest recorded before the writers moved off iostream
+// formatting. Any change to a number format, escaper or separator
+// shows up here as a different digest.
+
+/** FNV-1a over the raw bytes of @p s. */
+std::uint64_t
+fnv1aBytes(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Thermal trip plus one marginal shared rail: the plane engages. */
+soc::PhysicsConfig
+exportPinPhysics()
+{
+    soc::PhysicsConfig phys;
+    phys.thermal.node.cJPerC = 1e-6;
+    phys.trip.tripC = 50.0;
+    phys.trip.releaseC = 49.5;
+    phys.trip.capFraction = 0.4;
+    soc::RailSpec rail;
+    rail.rail.vNominal = 0.85;
+    rail.rail.limitMa = 120.0;
+    rail.rail.releaseFraction = 0.6;
+    rail.capFraction = 0.4;
+    rail.droopV = 0.05;
+    phys.rails.push_back(rail);
+    phys.enforce = true;
+    return phys;
+}
+
+TEST(ExportBytes, ObservedAvSocExportMatchesRecordedDigest)
+{
+    soc::PmConfig pm;
+    pm.kind = soc::PmKind::BlitzCoin;
+    pm.budgetMw = soc::budgets::av30Percent;
+    soc::PhysicsPlane plane(exportPinPhysics());
+    trace::Registry reg;
+    trace::Tracer tracer;
+    soc::Soc s(soc::make3x3AvSoc(), pm, /*seed=*/11);
+    s.attachPhysics(plane);
+    s.attachMetrics(&reg, sim::usToTicks(10.0));
+    s.attachTrace(&tracer);
+    soc::SocRunStats st = s.run(soc::avDependent(s.config(), 1));
+    ASSERT_TRUE(st.completed);
+    ASSERT_GT(tracer.eventCount(), 1000u);
+    ASSERT_GT(reg.snapshots().size(), 10u);
+
+    std::ostringstream os;
+    reg.writeCsv(os);
+    reg.writeJson(os);
+    tracer.writeJson(os);
+    // Only the deterministic section: wallclock entries vary by run.
+    trace::HealthReport health;
+    s.fillHealth(health);
+    trace::HealthReport det;
+    det.setRun(health.run());
+    for (const trace::HealthReport::Entry &e : health.deterministic())
+        det.setDet(e.first, e.second);
+    det.writeJson(os);
+    EXPECT_EQ(fnv1aBytes(os.str()), 0x5ab4d8f0e33d9821ull)
+        << std::hex << fnv1aBytes(os.str()) << std::dec
+        << " over " << os.str().size() << " bytes";
+}
+
+TEST(ExportBytes, AbsorbedTwoLaneTracerMatchesRecordedDigest)
+{
+    trace::Tracer master;
+    for (std::uint32_t rep = 0; rep < 2; ++rep) {
+        trace::Tracer worker;
+        worker.setPid(rep);
+        auto exec = worker.counterTrack("prof", "prof/shard0.exec_ms", 0);
+        auto quoted =
+            worker.counterTrack("prof\\x", "say \"hi\"", 3 + rep);
+        for (std::uint32_t i = 0; i < 8; ++i) {
+            const sim::Tick at = 1'000ull * i + 7 * rep + 1;
+            worker.counterSample(exec, at, 0.1 * i + rep / 3.0);
+            worker.counterSample(quoted, at, -1e-7 * (i + 1) * (rep + 1));
+            worker.complete("coin", "exchange", i, at, at + 801 * i,
+                            {{"xid", std::int64_t{-42} * i},
+                             {"outcome", i % 2 ? "ok" : "a\\b\"c"}});
+            worker.instant("fault", "inject_drop", i, at + 3);
+            worker.counter("pm", "power_mw", 0, at, 123.456789 * i);
+        }
+        master.absorb(worker, /*pid=*/rep);
+    }
+    master.counter("pm", "edge", 1, ~sim::Tick{0}, 1e300);
+    ASSERT_EQ(master.trackCount(), 3u);
+
+    std::ostringstream os;
+    master.writeJson(os);
+    EXPECT_EQ(fnv1aBytes(os.str()), 0x12b8596850aea201ull)
+        << std::hex << fnv1aBytes(os.str()) << std::dec
+        << " over " << os.str().size() << " bytes";
+}
+
+TEST(ExportBytes, HistogramJsonAndNocLinkCsvMatchRecordedDigest)
+{
+    trace::Registry reg;
+    trace::NocTrace probe(reg, /*linkCount=*/6, /*hopLatency=*/3,
+                          /*latencyHi=*/1000.0 / 3.0);
+    sim::Histogram *h = reg.histogram("odd \"bins\"", -0.1, 0.7, 7);
+    for (std::size_t i = 0; i < 40; ++i) {
+        probe.onHop(i % 5, 10 * i);
+        probe.onDeliver(0, 0, 5 * i, 5 * i + 17 * (i % 9));
+        h->add(-0.2 + 0.023 * static_cast<double>(i));
+    }
+    reg.sample(1234);
+    reg.sample(98765);
+
+    std::ostringstream os;
+    reg.writeCsv(os);
+    reg.writeJson(os);
+    probe.writeLinkCsv(os, /*elapsed=*/977);
+    EXPECT_EQ(fnv1aBytes(os.str()), 0x05c96ea6874281e2ull)
+        << std::hex << fnv1aBytes(os.str()) << std::dec
+        << " over " << os.str().size() << " bytes";
+}
+
+// ------------------------------------- differential number formatting
+// The printf/sscanf formatters the export writers used before
+// ExportWriter, kept here as the reference it must reproduce byte for
+// byte on every value.
+
+/** Metrics CSV/JSON values: shortest %.Pg, P in 6..17, that round-trips. */
+std::string
+refRoundTrip(double v)
+{
+    char buf[40];
+    for (int prec = 6; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        double back = 0.0;
+        std::sscanf(buf, "%lf", &back);
+        if (back == v)
+            break;
+    }
+    return buf;
+}
+
+/** Tracer ts/dur (the buffer fits "%.4f" of DBL_MAX). */
+std::string
+refFixed4(double v)
+{
+    char buf[400];
+    std::snprintf(buf, sizeof buf, "%.4f", v);
+    return buf;
+}
+
+/** Tracer counter values and NoC link utilization. */
+std::string
+refGeneral6(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+    return buf;
+}
+
+std::string
+refGeneral17(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** HealthReport values: integers as %lld, the rest as %.17g. */
+std::string
+refHealth(double v)
+{
+    char buf[40];
+    if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15)
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    else
+        return refGeneral17(v);
+    return buf;
+}
+
+std::string
+refQuoted(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out + '"';
+}
+
+void
+writeHealthValue(trace::ExportWriter &w, double v)
+{
+    // Writing through HealthReport itself pins the production policy.
+    trace::HealthReport r;
+    r.setDet("k", v);
+    std::ostringstream os;
+    r.writeJson(os);
+    const std::string doc = os.str();
+    const std::size_t at = doc.find("\"k\":") + 4;
+    w.put(std::string_view(doc).substr(at, doc.find('}', at) - at));
+}
+
+/** ±0, subnormals, the range ends, non-finites, 2^53±1, every 2^k... */
+std::vector<double>
+edgeDoubles()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> v = {
+        0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
+        DBL_MAX, -DBL_MAX, inf, -inf, nan, -nan,
+        9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+        -9007199254740991.0, -9007199254740992.0, 1e-4, 1e-5, 123456.0,
+        1234567.0, 0.125, 2.5, 0.00125, 1.5, -1.25, 0.1, 1.0 / 3.0,
+        99999.95, 999999.5, 1e15, 1e16, 1e17, 1e21, 1e22, 1e23,
+    };
+    // Powers of two: the shortest form sits on the wide side of the
+    // asymmetric rounding interval, where %.<P>g can miss (2^-44).
+    for (int e = -1074; e <= 1023; ++e) {
+        v.push_back(std::ldexp(1.0, e));
+        v.push_back(-std::ldexp(1.0, e));
+    }
+    return v;
+}
+
+/**
+ * @p count doubles from sim::Rng: raw bit patterns (every class of
+ * double, non-finites included), integers below 2^53, metric-like
+ * ratios, and tick-derived microseconds.
+ */
+std::vector<double>
+rngDoubles(std::uint64_t seed, std::size_t count)
+{
+    sim::Rng rng(seed);
+    std::vector<double> v;
+    v.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t r = rng();
+        switch (i % 4) {
+          case 0: {
+            double d;
+            std::memcpy(&d, &r, sizeof d);
+            v.push_back(d);
+            break;
+          }
+          case 1:
+            v.push_back(static_cast<double>(r >> (11 + rng() % 53)));
+            break;
+          case 2:
+            v.push_back(static_cast<double>(r >> (rng() % 64)) /
+                        static_cast<double>(1 + (rng() >> (rng() % 64))));
+            break;
+          default:
+            v.push_back(sim::ticksToUs(r >> (rng() % 64)));
+            break;
+        }
+    }
+    return v;
+}
+
+/**
+ * Render @p values newline-separated through one ExportWriter (so the
+ * buffer flushes at every offset) and through @p ref; count the values
+ * whose text differs and report the first.
+ */
+template <class Write, class Ref>
+std::size_t
+formatMismatches(const std::vector<double> &values, Write write, Ref ref,
+                 std::string *first)
+{
+    std::ostringstream os;
+    std::string expect;
+    {
+        trace::ExportWriter w(os);
+        for (double v : values) {
+            write(w, v);
+            w.put('\n');
+            expect += ref(v);
+            expect += '\n';
+        }
+    }
+    const std::string got = os.str();
+    if (got == expect)
+        return 0;
+    std::size_t bad = 0;
+    std::istringstream gs(got), es(expect);
+    std::string g, e;
+    for (double v : values) {
+        std::getline(gs, g);
+        std::getline(es, e);
+        if (g == e)
+            continue;
+        if (bad++ == 0) {
+            char hex[40];
+            std::snprintf(hex, sizeof hex, "%a", v);
+            *first = std::string(hex) + ": got " + g + ", want " + e;
+        }
+    }
+    return bad;
+}
+
+/** The edge list plus 1M sim::Rng doubles, built once per binary. */
+const std::vector<double> &
+differentialDoubles()
+{
+    static const std::vector<double> values = [] {
+        std::vector<double> v = edgeDoubles();
+        const std::vector<double> random = rngDoubles(2024, 1'000'000);
+        v.insert(v.end(), random.begin(), random.end());
+        return v;
+    }();
+    return values;
+}
+
+TEST(ExportWriter, RoundTripMatchesSnprintfSscanfSearch)
+{
+    std::string first;
+    EXPECT_EQ(formatMismatches(
+                  differentialDoubles(),
+                  [](trace::ExportWriter &w, double v) { w.roundTrip(v); },
+                  refRoundTrip, &first),
+              0u)
+        << "first: " << first;
+
+    // The narrow-side power of two really needs the search past the
+    // shortest form's 16 digits.
+    std::ostringstream os;
+    trace::ExportWriter(os).roundTrip(std::ldexp(1.0, -44));
+    EXPECT_EQ(os.str(), "5.6843418860808015e-14");
+}
+
+TEST(ExportWriter, GeneralMatchesPrintfG6AndG17)
+{
+    std::string first;
+    EXPECT_EQ(formatMismatches(
+                  differentialDoubles(),
+                  [](trace::ExportWriter &w, double v) { w.general(v, 6); },
+                  refGeneral6, &first),
+              0u)
+        << "%.6g, first: " << first;
+    EXPECT_EQ(formatMismatches(
+                  differentialDoubles(),
+                  [](trace::ExportWriter &w, double v) { w.general(v, 17); },
+                  refGeneral17, &first),
+              0u)
+        << "%.17g, first: " << first;
+}
+
+TEST(ExportWriter, FixedMatchesPrintfF4)
+{
+    std::string first;
+    EXPECT_EQ(formatMismatches(
+                  differentialDoubles(),
+                  [](trace::ExportWriter &w, double v) { w.fixed(v, 4); },
+                  refFixed4, &first),
+              0u)
+        << "first: " << first;
+}
+
+TEST(ExportWriter, HealthValuesMatchLldOrG17)
+{
+    // The integer/%.17g split, through HealthReport itself: one report
+    // per value, so on the edges and the first 50k random doubles.
+    const std::vector<double> &all = differentialDoubles();
+    const std::vector<double> values(
+        all.begin(),
+        all.begin() + static_cast<std::ptrdiff_t>(edgeDoubles().size() +
+                                                  50'000));
+    std::string first;
+    EXPECT_EQ(formatMismatches(values, writeHealthValue, refHealth, &first),
+              0u)
+        << "first: " << first;
+}
+
+TEST(ExportWriter, TickTimestampsMatchPrintfReference)
+{
+    // Tracer ts/dur: %.4f of ticksToUs over every tick magnitude.
+    sim::Rng rng(77);
+    std::vector<double> us;
+    for (sim::Tick t : {sim::Tick{0}, sim::Tick{1}, sim::Tick{800},
+                        (sim::Tick{1} << 53) - 1, (sim::Tick{1} << 53) + 1,
+                        ~sim::Tick{0}})
+        us.push_back(sim::ticksToUs(t));
+    for (std::size_t i = 0; i < 1'000'000; ++i)
+        us.push_back(sim::ticksToUs(rng() >> (rng() % 64)));
+    std::string first;
+    EXPECT_EQ(formatMismatches(
+                  us,
+                  [](trace::ExportWriter &w, double v) { w.fixed(v, 4); },
+                  refFixed4, &first),
+              0u)
+        << first;
+}
+
+TEST(ExportWriter, IntegersAndEscapedStringsMatchReference)
+{
+    sim::Rng rng(5);
+    std::ostringstream os;
+    std::string expect;
+    {
+        trace::ExportWriter w(os);
+        const char alphabet[] = "ab\"\\ c\\\"";
+        for (std::size_t i = 0; i < 20'000; ++i) {
+            // Mostly short strings; a few longer than the buffer.
+            const std::size_t len =
+                i % 997 == 0 ? 4'000 + rng() % 9'000 : rng() % 64;
+            std::string s;
+            for (std::size_t k = 0; k < len; ++k)
+                s += alphabet[rng() % (sizeof alphabet - 1)];
+            w.quoted(s);
+            expect += refQuoted(s);
+
+            const std::uint64_t u = rng() >> (rng() % 64);
+            const auto n = static_cast<std::int64_t>(rng());
+            w.put(',').u64(u).put(',').i64(n).put('\n');
+            char buf[64];
+            std::snprintf(buf, sizeof buf, ",%llu,%lld\n",
+                          static_cast<unsigned long long>(u),
+                          static_cast<long long>(n));
+            expect += buf;
+        }
+        w.i64(std::numeric_limits<std::int64_t>::min());
+        w.u64(std::numeric_limits<std::uint64_t>::max());
+        expect += "-922337203685477580818446744073709551615";
+    }
+    EXPECT_TRUE(os.str() == expect) << "escaped strings or integers differ";
 }
 
 } // namespace
