@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 namespace blitz::record {
 
@@ -119,17 +120,21 @@ FlightRecorder::clear()
 std::uint64_t
 FlightRecorder::digest() const
 {
+    // Walk the chunks in retained order: at(i) would divide per record.
     sim::Fnv1a d;
-    for (std::size_t i = 0; i < size(); ++i) {
-        const Record &r = at(i);
-        d.u64(r.tick)
-            .u64((static_cast<std::uint64_t>(r.lane) << 32) |
-                 (static_cast<std::uint64_t>(r.kind) << 24) |
-                 (static_cast<std::uint64_t>(r.flag) << 16) | r.aux)
-            .i64(r.p0)
-            .i64(r.p1)
-            .i64(r.p2)
-            .i64(r.p3);
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        const std::size_t n =
+            c + 1 == chunks_.size() ? writeCursor_ : cfg_.chunkRecords;
+        for (const Record &r : std::span(chunks_[c].get(), n)) {
+            d.u64(r.tick)
+                .u64((static_cast<std::uint64_t>(r.lane) << 32) |
+                     (static_cast<std::uint64_t>(r.kind) << 24) |
+                     (static_cast<std::uint64_t>(r.flag) << 16) | r.aux)
+                .i64(r.p0)
+                .i64(r.p1)
+                .i64(r.p2)
+                .i64(r.p3);
+        }
     }
     return d.value();
 }

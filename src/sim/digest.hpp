@@ -14,6 +14,9 @@
 #ifndef BLITZ_SIM_DIGEST_HPP
 #define BLITZ_SIM_DIGEST_HPP
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -23,13 +26,21 @@ namespace blitz::sim {
 class Fnv1a
 {
   public:
+    /**
+     * Fold @p v's eight bytes, least significant first. A zero byte's
+     * xor is a no-op, so the high zero bytes of a small value each
+     * only multiply by the prime; they fold into one multiply by the
+     * matching prime power — the same digest, bit for bit.
+     */
     Fnv1a &
     u64(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
+        const int live = 8 - std::countl_zero(v) / 8;
+        for (int i = 0; i < live; ++i) {
             h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 0x100000001b3ull;
+            h_ *= kPrime;
         }
+        h_ *= kPrimePow[8 - live];
         return *this;
     }
 
@@ -51,6 +62,17 @@ class Fnv1a
     std::uint64_t value() const { return h_; }
 
   private:
+    static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+
+    /** kPrime^k mod 2^64 for k = 0..8. */
+    static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+        std::array<std::uint64_t, 9> p{};
+        p[0] = 1;
+        for (std::size_t k = 1; k < p.size(); ++k)
+            p[k] = p[k - 1] * kPrime;
+        return p;
+    }();
+
     std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 

@@ -9,13 +9,15 @@
  * child) slide into the hole, one store per level instead of a
  * three-store swap.
  *
- * Two instances exist:
- *   - sim::EventQueue's far-heap, un-indexed (the default NoHeapIndex
- *     hook compiles to nothing);
- *   - coin::MeshSim's firing schedule, *indexed*: the OnMove hook is
- *     told every entry's new position, so the owner can find an entry
- *     and re-key it in place (update()) instead of pushing a duplicate
- *     and discarding stale copies at pop.
+ * Both instances are *indexed*: the OnMove hook is told every entry's
+ * new position, so the owner can find an entry and re-key (update())
+ * or remove (erase()) it in place instead of leaving a stale copy to
+ * be discarded at pop:
+ *   - sim::EventQueue's far-heap, where cancel() erases a parked
+ *     event;
+ *   - coin::MeshSim's firing schedule, where a tile's next firing is
+ *     re-keyed in place.
+ * The default NoHeapIndex hook compiles to nothing.
  *
  * Order among equal entries is unspecified, so callers that need a
  * deterministic drain use keys that form a strict total order.
@@ -90,6 +92,19 @@ class QuadHeap
             siftUp(i, e);
         else
             siftDown(i, e);
+    }
+
+    /**
+     * Remove the entry at index @p i: the last entry fills the hole
+     * and sifts whichever way restores heap order.
+     */
+    void
+    erase(std::size_t i)
+    {
+        const T last = v_.back();
+        v_.pop_back();
+        if (i < v_.size())
+            update(i, last);
     }
 
   private:

@@ -119,24 +119,26 @@ AcceleratorTile::accrueProgress()
 void
 AcceleratorTile::scheduleCompletion()
 {
+    // Re-aimed at every frequency change: cancel the superseded event
+    // so it leaves the queue instead of firing as a no-op hundreds of
+    // microseconds later. Sharded queues hand out 0 (cancel is then a
+    // no-op), so the generation check still retires a stale firing.
+    eq_.cancel(completionId_);
+    completionId_ = 0;
     const std::uint64_t gen = ++completionGen_;
     if (!busy_)
         return;
     const double rate = cyclesPerTick(accrualFreqMhz_);
     if (rate <= 0.0)
         return; // clock parked; completion waits for coins
-    if (remainingCycles_ <= completionEpsilon) {
-        // Degenerate zero-length remainder: finish on the next tick.
-        eq_.scheduleIn(1, [this, gen] {
-            if (gen != completionGen_)
-                return;
-            finishCheck();
-        });
-        return;
-    }
-    auto ticks = static_cast<sim::Tick>(
-        std::ceil(remainingCycles_ / rate));
-    eq_.scheduleIn(std::max<sim::Tick>(ticks, 1), [this, gen] {
+    // A degenerate zero-length remainder finishes on the next tick.
+    const sim::Tick ticks =
+        remainingCycles_ <= completionEpsilon
+            ? 1
+            : std::max<sim::Tick>(static_cast<sim::Tick>(std::ceil(
+                                      remainingCycles_ / rate)),
+                                  1);
+    completionId_ = eq_.scheduleIn(ticks, [this, gen] {
         if (gen != completionGen_)
             return;
         finishCheck();

@@ -146,6 +146,7 @@ class AcceleratorTile
     sim::Tick lastAccrual_ = 0;
     double accrualFreqMhz_ = 0.0;
     std::uint64_t completionGen_ = 0;
+    sim::EventQueue::EventId completionId_ = 0; ///< pending completion
     bool loopActive_ = false;
     std::uint64_t loopGen_ = 0;
 };

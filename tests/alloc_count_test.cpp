@@ -27,6 +27,7 @@
 #include <new>
 #include <ostream>
 #include <streambuf>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +155,52 @@ TEST(AllocCount, EventKernelSteadyStateIsAllocationFree)
     eq.runUntil(65536);
     EXPECT_EQ(gAllocCount.load() - before, 0u)
         << "steady-state event scheduling allocated";
+}
+
+/**
+ * Re-aim churn, the way accelerator tiles move their completion event
+ * on every frequency step: each firing cancels one tile's pending
+ * completion and schedules its replacement — mostly far past the
+ * wheel window (erased from the far-heap), sometimes inside it (a
+ * tombstone the drain discards) — then re-arms itself.
+ */
+struct Reaimer
+{
+    sim::EventQueue *eq;
+    sim::EventQueue::EventId *ids;
+    std::uint32_t tiles;
+    std::uint32_t state;
+
+    void
+    operator()()
+    {
+        state ^= state << 13;
+        state ^= state >> 17;
+        state ^= state << 5;
+        sim::EventQueue::EventId &id = ids[state % tiles];
+        eq->cancel(id);
+        const sim::Tick delta =
+            state % 8 ? 5000 + state % 400000 : 1 + state % 3000;
+        id = eq->scheduleIn(delta, [] {});
+        eq->scheduleIn(3, *this);
+    }
+};
+
+TEST(AllocCount, ReaimChurnSteadyStateIsAllocationFree)
+{
+    constexpr std::uint32_t kTiles = 64;
+    sim::EventQueue eq;
+    std::vector<sim::EventQueue::EventId> ids(kTiles, 0);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        eq.schedule(i, Reaimer{&eq, ids.data(), kTiles, 2463534242u + i});
+    // Warmup: the slab, the bucket pool and the far-heap array reach
+    // their high-water marks over more than one far-horizon span.
+    eq.runUntil(500'000);
+
+    const std::uint64_t before = gAllocCount.load();
+    eq.runUntil(1'500'000);
+    EXPECT_EQ(gAllocCount.load() - before, 0u)
+        << "steady-state completion re-aiming allocated";
 }
 
 /** Self-rescheduling sender: sustained cross-mesh traffic. */

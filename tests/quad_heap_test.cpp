@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for sim::QuadHeap, the repo's one heap: the un-indexed form
- * (EventQueue's far-heap) against a sort, and the indexed form
- * (MeshSim's firing schedule) differentially against the stale-stamp
- * std::priority_queue schedule it replaced.
+ * against a sort, and the indexed form differentially against the
+ * stale-stamp std::priority_queue schedule MeshSim's firing schedule
+ * replaced (re-key in place) and against a multiset (erase in place,
+ * as EventQueue's far-heap cancel does).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "sim/quad_heap.hpp"
@@ -198,6 +200,46 @@ TEST(QuadHeap, IndexedUpdateKeepsPositionsExact)
         heap.update(pos[t], keys[t]);
     std::sort(keys.begin(), keys.end());
     for (std::uint64_t k : keys) {
+        ASSERT_EQ(heap.top(), k);
+        heap.pop();
+    }
+    EXPECT_TRUE(heap.empty());
+}
+
+// Erasing by hooked position, as the event queue's cancel() does for
+// a far-parked event: random pushes, pops and erases must leave the
+// heap draining exactly the model's surviving keys, in order, with the
+// hook's positions exact throughout.
+TEST(QuadHeap, IndexedEraseMatchesMultiset)
+{
+    sim::Rng rng(29);
+    const std::size_t tiles = 200;
+    std::vector<std::uint32_t> pos(tiles);
+    std::vector<bool> in(tiles, false);
+    std::vector<std::uint64_t> keys(tiles);
+    std::set<std::uint64_t> model;
+    sim::QuadHeap<std::uint64_t, std::less<std::uint64_t>, TrackTile>
+        heap(std::less<std::uint64_t>{}, TrackTile{pos.data()});
+    for (int step = 0; step < 50000; ++step) {
+        const auto t = static_cast<std::uint32_t>(rng.below(tiles));
+        if (!in[t]) {
+            keys[t] = keyOf(rng.below(1000), t);
+            heap.push(keys[t]);
+            model.insert(keys[t]);
+            in[t] = true;
+        } else if (rng.chance(0.7)) {
+            ASSERT_EQ(heap.size(), model.size());
+            heap.erase(pos[t]);
+            model.erase(keys[t]);
+            in[t] = false;
+        } else {
+            ASSERT_EQ(heap.top(), *model.begin());
+            in[heap.top() & ((1u << kTileBits) - 1)] = false;
+            heap.pop();
+            model.erase(model.begin());
+        }
+    }
+    for (std::uint64_t k : model) {
         ASSERT_EQ(heap.top(), k);
         heap.pop();
     }

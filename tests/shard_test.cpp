@@ -133,6 +133,32 @@ TEST(ShardGroup, CountsEpochsAndCrossEvents)
     EXPECT_EQ(eq.now(), 64u);
 }
 
+// Sharded handles are 0, as documented: a leaf's live handle would
+// make the anchor's cancel() panic. Cancelling one is a no-op, and the
+// event still runs — callers keep a generation check for that case.
+TEST(ShardGroup, CancelOfAnchorHandleIsNoOp)
+{
+    sim::EventQueue eq;
+    sim::ShardGroup group(eq, 2, sim::columnBands(4, 1, 2));
+    int fired = 0;
+    const auto serial = eq.schedule(10, [&fired] { ++fired; });
+    const auto atNode = eq.scheduleAtNode(3, 12, [&fired] { ++fired; });
+    sim::EventQueue::EventId scoped;
+    {
+        sim::LocusScope at1(eq, 1);
+        scoped = eq.scheduleIn(14, [&fired] { ++fired; });
+    }
+    EXPECT_EQ(serial, 0u);
+    EXPECT_EQ(atNode, 0u);
+    EXPECT_EQ(scoped, 0u);
+    EXPECT_NO_THROW(eq.cancel(serial));
+    EXPECT_NO_THROW(eq.cancel(atNode));
+    EXPECT_NO_THROW(eq.cancel(scoped));
+    eq.runUntil(64);
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(eq.totalExecuted(), 3u);
+}
+
 // ------------------------------------------------------ chaos harness
 
 /**

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "sim/digest.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
 #include "sim/rng.hpp"
@@ -22,6 +24,56 @@
 namespace {
 
 using namespace blitz;
+
+// -------------------------------------------------------------- digest
+
+/** The textbook FNV-1a fold of @p v's eight bytes, low byte first. */
+std::uint64_t
+bytewiseFnv(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Fnv1a, MatchesBytewiseReference)
+{
+    // 0, all-ones, every count of high zero bytes (with and without a
+    // zero byte below the top live one), negatives, and random words
+    // of random width, each checked from a fresh and a running state.
+    std::vector<std::uint64_t> words{0, ~std::uint64_t{0}};
+    for (int live = 1; live <= 8; ++live) {
+        const std::uint64_t top = std::uint64_t{0x80} << (8 * (live - 1));
+        words.push_back(top);
+        words.push_back(top | 1);
+        words.push_back(top - 1 + top);
+    }
+    for (std::int64_t v : {-1LL, -2LL, -255LL, -256LL, -65536LL,
+                           static_cast<long long>(INT64_MIN)})
+        words.push_back(static_cast<std::uint64_t>(v));
+    sim::Rng rng(77);
+    for (int i = 0; i < 20000; ++i) {
+        const auto width = static_cast<unsigned>(rng.below(65));
+        const std::uint64_t r = rng();
+        words.push_back(width == 64 ? r
+                                    : r & ((std::uint64_t{1} << width) - 1));
+    }
+    std::uint64_t ref = 0xcbf29ce484222325ull;
+    sim::Fnv1a d;
+    for (std::uint64_t w : words) {
+        sim::Fnv1a fresh;
+        ASSERT_EQ(fresh.u64(w).value(),
+                  bytewiseFnv(0xcbf29ce484222325ull, w))
+            << std::hex << w;
+        ref = bytewiseFnv(ref, w);
+        ASSERT_EQ(d.u64(w).value(), ref) << std::hex << w;
+    }
+    EXPECT_EQ(sim::Fnv1a{}.i64(-3).value(),
+              bytewiseFnv(0xcbf29ce484222325ull,
+                          static_cast<std::uint64_t>(std::int64_t{-3})));
+}
 
 // ---------------------------------------------------------------- time
 
@@ -361,11 +413,14 @@ prioAtLeast(sim::Rng &rng, int floor)
  * four priority classes (unsorted buckets the drain partitions by
  * class), far-future events that migrate into buckets already holding
  * later-scheduled entries (a class out of order in itself), same-tick
- * splices from running callbacks, and cancellations of pending
- * events. Every schedule() call is logged in call order, so a stable
- * sort of the live log by (when, prio) is the (when, prio, seq)
- * reference order. Same-tick splices use a priority no earlier than
- * the running event's, so execution never has to go back in key order.
+ * splices from running callbacks, cancellations of pending events
+ * wherever they wait (far-heap, wheel bucket, live batch), re-aims
+ * (cancel plus a replacement elsewhere), and stop requests the drain
+ * must honor on the exact event. Every schedule() call is logged in
+ * call order, so a stable sort of the live log by (when, prio) is the
+ * (when, prio, seq) reference order. Same-tick splices use a priority
+ * no earlier than the running event's, so execution never has to go
+ * back in key order.
  */
 struct PlainDrainModel
 {
@@ -383,6 +438,67 @@ struct PlainDrainModel
     std::vector<Sched> sched;
     std::vector<std::size_t> ran;
     std::size_t budget = 6000;
+    /// Cancels by where the event waited: far-heap, wheel, live batch.
+    std::size_t farCancels = 0, wheelCancels = 0, batchCancels = 0;
+    std::size_t reaims = 0;
+    /// Outstanding stop request: its tick and ran.size() when made.
+    sim::Tick stopTick = sim::maxTick;
+    std::size_t stopFrom = 0;
+    std::size_t stopsHonored = 0;
+
+    /** A random tick for a new event scheduled at @p now. */
+    sim::Tick
+    pick(sim::Tick now)
+    {
+        switch (rng.below(4)) {
+          case 0: // same tick: a splice into the live batch
+            return now;
+          case 1: // far-heap, migrates back later
+            return now + 4096 + rng.below(8192);
+          default: // a near bucket
+            return now + 1 + rng.below(24);
+        }
+    }
+
+    /** Cancel pending event @p v, classifying where it waited. */
+    void
+    cancel(Sched &v)
+    {
+        const std::size_t before = eq.pending();
+        eq.cancel(v.id);
+        v.cancelled = true;
+        if (eq.pending() < before)
+            ++farCancels; // erased from the far-heap on the spot
+        else if (v.when == eq.now())
+            ++batchCancels;
+        else
+            ++wheelCancels;
+    }
+
+    /**
+     * After runUntil(@p limit) returned: an honored stop request must
+     * have ended the drain on the first event at or past its tick,
+     * with now() left there; otherwise the drain ran to the limit.
+     * Returns true when a stop ended it.
+     */
+    bool
+    checkReturn(sim::Tick limit)
+    {
+        const bool honored = stopTick != sim::maxTick &&
+                             ran.size() > stopFrom &&
+                             sched[ran.back()].when >= stopTick;
+        if (!honored) {
+            if (!eq.empty())
+                EXPECT_EQ(eq.now(), limit);
+            return false;
+        }
+        for (std::size_t i = stopFrom; i + 1 < ran.size(); ++i)
+            EXPECT_LT(sched[ran[i]].when, stopTick) << "stop overshot";
+        EXPECT_EQ(eq.now(), sched[ran.back()].when);
+        stopTick = sim::maxTick;
+        ++stopsHonored;
+        return true;
+    }
 
     void
     add(sim::Tick when, int prio)
@@ -402,26 +518,34 @@ struct PlainDrainModel
         const int prio = sched[idx].prio;
         for (int k = static_cast<int>(rng.below(3)); k > 0 && budget;
              --k, --budget) {
-            switch (rng.below(4)) {
-              case 0: // same-tick splice into the live batch
-                add(now, prioAtLeast(rng, prio));
-                break;
-              case 1: // far-heap, migrates back later
-                add(now + 4096 + rng.below(8192), prioAtLeast(rng, 0));
-                break;
-              default: // a near bucket, any class
-                add(now + 1 + rng.below(24), prioAtLeast(rng, 0));
-                break;
-            }
+            const sim::Tick when = pick(now);
+            add(when, prioAtLeast(rng, when == now ? prio : 0));
         }
         if (rng.chance(0.1)) {
             // Cancel a random event that has not run yet (a no-op on
             // the queue if it already has, so the model skips those).
             Sched &v = sched[rng.below(sched.size())];
+            if (!v.ran && !v.cancelled)
+                cancel(v);
+        }
+        if (rng.chance(0.1) && budget) {
+            // Re-aim a recent event, the way a tile moves its pending
+            // completion: cancel it and schedule its replacement.
+            const std::size_t back = std::min<std::size_t>(sched.size(), 64);
+            Sched &v = sched[sched.size() - 1 - rng.below(back)];
             if (!v.ran && !v.cancelled) {
-                eq.cancel(v.id);
-                v.cancelled = true;
+                cancel(v);
+                const sim::Tick when = pick(now);
+                add(when, when == now ? std::max(v.prio, prio) : v.prio);
+                --budget;
+                ++reaims;
             }
+        }
+        if (rng.chance(0.01) && budget) {
+            // Ask the drain to return at this event or a later tick.
+            stopTick = rng.chance(0.5) ? now : now + rng.below(200);
+            stopFrom = ran.size() - 1;
+            eq.stopAfter(stopTick);
         }
     }
 };
@@ -448,7 +572,10 @@ TEST(DrainOrder, RandomizedPlainQueueMatchesStableSortReference)
     std::size_t behind = 0;
     for (sim::Tick limit = 0; limit < 40000 && !m.eq.empty();
          limit += 1 + m.rng.below(1500)) {
-        m.eq.runUntil(limit);
+        // A stop returns early: resume until the drain reaches the limit.
+        do {
+            m.eq.runUntil(limit);
+        } while (m.checkReturn(limit));
         if (!m.ran.empty())
             refilledAt = std::max(refilledAt, m.sched[m.ran.back()].when);
         const std::size_t n = m.sched.size();
@@ -462,6 +589,7 @@ TEST(DrainOrder, RandomizedPlainQueueMatchesStableSortReference)
         }
         refilledAt = limit;
     }
+    m.eq.stopAfter(sim::maxTick); // runOne() ignores requests anyway
     while (m.eq.runOne()) {
     }
 
@@ -479,6 +607,11 @@ TEST(DrainOrder, RandomizedPlainQueueMatchesStableSortReference)
     EXPECT_GT(m.sched.size(), 8000u) << "schedule too small to mix";
     EXPECT_LT(want.size(), m.sched.size()) << "nothing was cancelled";
     EXPECT_GT(behind, 0u) << "no migration landed behind a later entry";
+    EXPECT_GT(m.farCancels, 0u);
+    EXPECT_GT(m.wheelCancels, 0u);
+    EXPECT_GT(m.batchCancels, 0u);
+    EXPECT_GT(m.reaims, 0u);
+    EXPECT_GT(m.stopsHonored, 0u);
     EXPECT_EQ(m.ran, want);
     EXPECT_TRUE(m.eq.empty());
     EXPECT_EQ(m.eq.cancelledTokens(), 0u);

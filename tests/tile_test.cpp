@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "soc/tile.hpp"
 
 namespace {
@@ -77,6 +79,34 @@ TEST_F(TileFixture, SpeedChangeMidTaskStretchesCorrectly)
     // 50% at full speed (40k ticks) + 50% at half speed (~80k ticks).
     EXPECT_NEAR(static_cast<double>(eq.now() - start), 120000.0,
                 15000.0);
+}
+
+// Every frequency step re-aims the completion event; the superseded
+// one is cancelled rather than left to fire as a no-op, so a task
+// under constant DVFS churn keeps a handful of events pending instead
+// of one per step. Cancelling changes no outcome: the completion tick
+// is pinned to the value recorded when superseded events still fired.
+TEST_F(TileFixture, FrequencyChurnKeepsPendingBoundedAndTimingExact)
+{
+    tile.setFreqTargetMhz(800.0);
+    settle();
+    bool done = false;
+    sim::Tick doneAt = 0;
+    const sim::Tick start = eq.now();
+    tile.beginTask(400000.0, [&] {
+        done = true;
+        doneAt = eq.now();
+    });
+    std::size_t maxPending = 0;
+    for (int step = 0; step < 150 && !done; ++step) {
+        tile.setFreqTargetMhz(step % 2 ? 800.0 : 300.0);
+        eq.runUntil(eq.now() + 1500);
+        maxPending = std::max(maxPending, eq.pending());
+    }
+    eq.runUntil(start + 2'000'000);
+    ASSERT_TRUE(done);
+    EXPECT_LE(maxPending, 4u);
+    EXPECT_EQ(doneAt - start, 474234u);
 }
 
 TEST_F(TileFixture, ZeroFrequencyStallsTask)

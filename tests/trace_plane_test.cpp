@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "coin/engine.hpp"
+#include "sim/digest.hpp"
 #include "sim/rng.hpp"
 #include "soc/pm_impl.hpp"
 #include "soc/scenarios.hpp"
@@ -526,38 +527,114 @@ exportPinPhysics()
     return phys;
 }
 
-TEST(ExportBytes, ObservedAvSocExportMatchesRecordedDigest)
+/** The seeded observed AV SoC run both SoC export pins read. */
+struct ObservedAvSoc
 {
-    soc::PmConfig pm;
-    pm.kind = soc::PmKind::BlitzCoin;
-    pm.budgetMw = soc::budgets::av30Percent;
-    soc::PhysicsPlane plane(exportPinPhysics());
+    static soc::PmConfig
+    pmConfig()
+    {
+        soc::PmConfig pm;
+        pm.kind = soc::PmKind::BlitzCoin;
+        pm.budgetMw = soc::budgets::av30Percent;
+        return pm;
+    }
+
+    soc::PhysicsPlane plane{exportPinPhysics()};
     trace::Registry reg;
     trace::Tracer tracer;
-    soc::Soc s(soc::make3x3AvSoc(), pm, /*seed=*/11);
-    s.attachPhysics(plane);
-    s.attachMetrics(&reg, sim::usToTicks(10.0));
-    s.attachTrace(&tracer);
-    soc::SocRunStats st = s.run(soc::avDependent(s.config(), 1));
-    ASSERT_TRUE(st.completed);
-    ASSERT_GT(tracer.eventCount(), 1000u);
-    ASSERT_GT(reg.snapshots().size(), 10u);
+    soc::Soc s{soc::make3x3AvSoc(), pmConfig(), /*seed=*/11};
+    soc::SocRunStats st;
+
+    ObservedAvSoc()
+    {
+        s.attachPhysics(plane);
+        s.attachMetrics(&reg, sim::usToTicks(10.0));
+        s.attachTrace(&tracer);
+        st = s.run(soc::avDependent(s.config(), 1));
+    }
+
+    /** The health report's deterministic section (wallclock varies). */
+    trace::HealthReport
+    deterministicHealth() const
+    {
+        trace::HealthReport health;
+        s.fillHealth(health);
+        trace::HealthReport det;
+        det.setRun(health.run());
+        for (const trace::HealthReport::Entry &e : health.deterministic())
+            det.setDet(e.first, e.second);
+        return det;
+    }
+};
+
+TEST(ExportBytes, ObservedAvSocExportMatchesRecordedDigest)
+{
+    const ObservedAvSoc run;
+    ASSERT_TRUE(run.st.completed);
+    ASSERT_GT(run.tracer.eventCount(), 1000u);
+    ASSERT_GT(run.reg.snapshots().size(), 10u);
 
     std::ostringstream os;
-    reg.writeCsv(os);
-    reg.writeJson(os);
-    tracer.writeJson(os);
-    // Only the deterministic section: wallclock entries vary by run.
-    trace::HealthReport health;
-    s.fillHealth(health);
-    trace::HealthReport det;
-    det.setRun(health.run());
-    for (const trace::HealthReport::Entry &e : health.deterministic())
-        det.setDet(e.first, e.second);
-    det.writeJson(os);
-    EXPECT_EQ(fnv1aBytes(os.str()), 0x5ab4d8f0e33d9821ull)
+    run.reg.writeCsv(os);
+    run.reg.writeJson(os);
+    run.tracer.writeJson(os);
+    run.deterministicHealth().writeJson(os);
+    // Re-recorded when tiles began cancelling superseded completion
+    // events: the bytes carry the executed-events gauge and the queue
+    // health keys, which the outcome pin below masks.
+    EXPECT_EQ(fnv1aBytes(os.str()), 0xc0a0d6f3cdef6b8cull)
         << std::hex << fnv1aBytes(os.str()) << std::dec
         << " over " << os.str().size() << " bytes";
+}
+
+// The same run's outcome with the event kernel's own bookkeeping
+// masked out: the executed-events gauge and the queue's executed,
+// depth and batch high-water health keys count queue work, not
+// simulated behavior, so they move whenever the kernel stops
+// executing (or starts discarding) a no-op event. Everything else —
+// run stats, every other metric column, the trace, every other health
+// key — is pinned.
+TEST(ExportBytes, ObservedAvSocOutcomeMatchesRecordedDigest)
+{
+    const ObservedAvSoc run;
+    ASSERT_TRUE(run.st.completed);
+    sim::Fnv1a d;
+    d.u64(run.st.execTime).u64(run.st.nocPackets);
+    d.u64(run.st.responseTicks.count()).f64(run.st.responseTicks.mean());
+    d.u64(run.st.trace->sampleCount()).f64(run.st.trace->energyNj());
+
+    const auto &schema = run.reg.schema();
+    std::size_t masked = schema.size();
+    for (std::size_t c = 0; c < schema.size(); ++c) {
+        if (schema[c].name == "sim.events_executed")
+            masked = c;
+        else
+            d.u64(fnv1aBytes(schema[c].name));
+    }
+    ASSERT_LT(masked, schema.size());
+    for (const trace::Snapshot &row : run.reg.snapshots()) {
+        d.u64(row.tick);
+        for (std::size_t c = 0; c < row.values.size(); ++c)
+            if (c != masked)
+                d.f64(row.values[c]);
+    }
+
+    std::ostringstream os;
+    run.tracer.writeJson(os);
+    d.u64(fnv1aBytes(os.str()));
+
+    std::size_t skipped = 0;
+    const trace::HealthReport health = run.deterministicHealth();
+    for (const trace::HealthReport::Entry &e : health.deterministic()) {
+        if (e.first == "queue.executed" || e.first == "queue.depth_hwm" ||
+            e.first == "queue.batch_hwm") {
+            ++skipped;
+            continue;
+        }
+        d.u64(fnv1aBytes(e.first)).f64(e.second);
+    }
+    EXPECT_EQ(skipped, 3u);
+    EXPECT_EQ(d.value(), 0xefe94d5b22dc5c4bull) << std::hex << d.value();
 }
 
 TEST(ExportBytes, AbsorbedTwoLaneTracerMatchesRecordedDigest)
