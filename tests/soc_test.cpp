@@ -189,6 +189,27 @@ TEST(SocIntegration, TileAccessorValidatesNode)
     EXPECT_THROW(s.tile(s.config().cpuTile), sim::PanicError);
 }
 
+TEST(SocIntegration, PanicMidRunLeavesNoStopRequest)
+{
+    // run() asks its drain to stop after the first event past maxTime.
+    // When an event throws, the request must not outlive the unwind: a
+    // later drain of the same queue runs to its own horizon.
+    Soc s(soc::make3x3AvSoc(), pmConfig(PmKind::BlitzCoin, 120.0), 1);
+    sim::EventQueue &eq = s.eventQueue();
+    eq.schedule(100, [] { throw sim::PanicError("injected fault"); });
+    soc::SocRunOptions opts;
+    opts.maxTime = 200;
+    const workload::Dag dag = soc::avParallel(s.config());
+    EXPECT_THROW(s.run(dag, opts), sim::PanicError);
+    ASSERT_EQ(eq.now(), 100u);
+    int late = 0;
+    eq.schedule(300, [&late] { ++late; });
+    eq.schedule(350, [&late] { ++late; });
+    eq.runUntil(400);
+    EXPECT_EQ(late, 2);
+    EXPECT_EQ(eq.now(), 400u);
+}
+
 TEST(SocIntegration, ZeroBudgetIsRejected)
 {
     EXPECT_THROW(Soc(soc::make3x3AvSoc(),
